@@ -290,24 +290,31 @@ def _input_check(matrices: Sequence[RMatrix]) -> Refutation | None:
     return None
 
 
+def _not_diagonalizable(dec: EigenDecomposition, label: str) -> Refutation | None:
+    if dec.diagonalizable:
+        return None
+    defective = next(
+        p.value
+        for p in dec.pairs
+        if p.geometric_multiplicity < p.algebraic_multiplicity
+    )
+    return Refutation(
+        "diagonalizable",
+        f"{label} has a defective eigenvalue {defective}",
+        label,
+        witness=dec,
+    )
+
+
 def _decompose_all(
     matrices: Sequence[RMatrix], labels: Sequence[str]
 ) -> tuple[list[EigenDecomposition], Refutation | None]:
     decomps = []
     for label, m in zip(labels, matrices):
         dec = eigen_decompose(m)
-        if not dec.diagonalizable:
-            defective = next(
-                p.value
-                for p in dec.pairs
-                if p.geometric_multiplicity < p.algebraic_multiplicity
-            )
-            return [], Refutation(
-                "diagonalizable",
-                f"{label} has a defective eigenvalue {defective}",
-                label,
-                witness=dec,
-            )
+        bad = _not_diagonalizable(dec, label)
+        if bad is not None:
+            return [], bad
         decomps.append(dec)
     return decomps, None
 
@@ -542,7 +549,23 @@ def verify_bd_triad(
     decomps, bad = _decompose_all([a, a_prime, a_dprime], _TRIAD_LABELS)
     if bad is not None:
         return bad
+    return _verify_bd_triad_decomposed((a, a_prime, a_dprime), decomps)
 
+
+def _verify_bd_triad_decomposed(
+    matrices: Sequence[RMatrix], decomps: Sequence[EigenDecomposition]
+) -> TriadCertificate | Refutation:
+    """`verify_bd_triad` given the eigendecompositions of its three inputs.
+
+    The matrices must be square and of one size.  Callers that already hold
+    the decompositions, such as the corner re-certification of a module,
+    skip recomputing them; the certificate is the same either way.
+    """
+    for label, dec in zip(_TRIAD_LABELS, decomps):
+        bad = _not_diagonalizable(dec, label)
+        if bad is not None:
+            return bad
+    a, a_prime, a_dprime = matrices
     plans = (
         ("A", decomps[0], [a_prime, a_dprime]),
         ("A'", decomps[1], [a_dprime, a]),

@@ -4,6 +4,8 @@ A certified triad with diameter d >= 2 has arithmetic eigenvalue sequences
 (all successive-difference ratios are exactly 1), so each sequence is an
 affine image of the canonical sequence (2i - d).  `reduce_triad` computes
 the three affine witnesses, applies them, and re-verifies the result.
+When every witness is the identity (1, 0) the triad is already reduced and
+its own certificate is returned.
 """
 
 from __future__ import annotations
@@ -83,7 +85,9 @@ def reduce_triad(
     """Affine-shift a certified triad onto the sequences (2i - d).
 
     Returns the re-verified certificate of (r*A + s*I, t*A' + u*I,
-    v*A'' + w*I) together with the witnesses ((r,s), (t,u), (v,w)).  Raises
+    v*A'' + w*I) together with the witnesses ((r,s), (t,u), (v,w)); when all
+    three witnesses are (1, 0) the shifted matrices are the certified ones
+    and `cert` itself is returned.  Raises
     NoWitness when some sequence is not an affine image of the target, and
     RuntimeError if the shifted triad fails re-verification (impossible for
     inputs that genuinely certify).
@@ -105,6 +109,8 @@ def reduce_triad(
         r, s = w
         witnesses.append(w)
         shifted.append(r * m + s * ident)
+    if all(w == (1, 0) for w in witnesses):
+        return cert, tuple(witnesses)
     result = verify_bd_triad(*shifted)
     if not result:
         raise RuntimeError(

@@ -7,8 +7,15 @@ proportionality scalar c and a = 1 - 1/c, solves the bracket constraints
 B'  = (1/a - 1)^(-1) A'' + (a - 1)^(-1) B and
 B'' = (1 - 1/a) A' - (1/a) B, proves the expected linear and bracket
 identities, assembles the six matrices onto the edges of a corner, and
-verifies the resulting module end to end (all 54 relations, ladder spectra,
-irreducibility, and re-certification of all four corner triads).
+verifies the resulting module end to end: all 54 relations (from 18
+distinct brackets), ladder spectra, irreducibility (an exact Burnside test,
+since every generator has a simple spectrum), and re-certification of all
+four corner triads, with each generator decomposed once for all of them.
+
+B is unique.  A solution H of the homogeneous constraints commutes with
+r = A' - A'', which is regular nilpotent on a thin triad, so
+H = sum_k c_k r^k; since [A'', r^k] = 2k r^k the first constraint gives
+(2k + 2) c_k = 0, hence H = 0.
 """
 
 from __future__ import annotations
@@ -19,11 +26,8 @@ from fractions import Fraction
 from triadtet.bdverify import TriadCertificate, verify_bd_triple
 from triadtet.linalg import (
     RMatrix,
-    Subspace,
     commutator,
     eigen_decompose,
-    poly_eval,
-    rational_roots,
     restricted_power_bijective,
     solve_linear_matrix_system,
 )
@@ -47,7 +51,11 @@ class DegenerateDiameter(SynthesisError):
 
 
 class AmbiguousSolution(SynthesisError):
-    """The bracket constraints on B leave more freedom than the spectrum filter resolves."""
+    """The bracket constraints on B leave freedom.
+
+    Kept for callers that catch it; B is unique on every certified thin
+    reduced triad, so synthesis never raises it.
+    """
 
 
 class IdentityViolation(SynthesisError):
@@ -167,110 +175,6 @@ def raising_maps(cert: TriadCertificate) -> RaisingData:
     return RaisingData(R=big_r, r=small_r, c=c, a=a)
 
 
-# -- small dense polynomials in one variable (ascending coefficients) --------
-
-def _p_trim(p: list[Fraction]) -> tuple[Fraction, ...]:
-    while len(p) > 1 and not p[-1]:
-        p.pop()
-    return tuple(p)
-
-
-def _p_add(p: tuple[Fraction, ...], q: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    n = max(len(p), len(q))
-    out = [Fraction(0)] * n
-    for i, v in enumerate(p):
-        out[i] += v
-    for i, v in enumerate(q):
-        out[i] += v
-    return _p_trim(out)
-
-
-def _p_scale(p: tuple[Fraction, ...], c: Fraction) -> tuple[Fraction, ...]:
-    return _p_trim([c * v for v in p])
-
-
-def _p_mul(p: tuple[Fraction, ...], q: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if not a:
-            continue
-        for j, b in enumerate(q):
-            if b:
-                out[i + j] += a * b
-    return _p_trim(out)
-
-
-_P_ZERO = (Fraction(0),)
-
-
-def _char_poly_in_t(
-    p_mat: RMatrix, h_mat: RMatrix
-) -> list[tuple[Fraction, ...]]:
-    """Characteristic-polynomial coefficients of p_mat + t*h_mat.
-
-    Faddeev-LeVerrier run over the polynomial ring Q[t]; returns the monic
-    coefficient list [1, c_1(t), ..., c_n(t)] highest matrix-degree first,
-    each entry ascending in t.
-    """
-    n = p_mat.rows
-    entries = [
-        [
-            _p_trim([p_mat[i][j], h_mat[i][j]])
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-
-    def mat_mul(x, y):
-        out = [[_P_ZERO] * n for _ in range(n)]
-        for i in range(n):
-            for k in range(n):
-                xv = x[i][k]
-                if xv == _P_ZERO:
-                    continue
-                for j in range(n):
-                    yv = y[k][j]
-                    if yv == _P_ZERO:
-                        continue
-                    out[i][j] = _p_add(out[i][j], _p_mul(xv, yv))
-        return out
-
-    def mat_trace(x):
-        t = _P_ZERO
-        for i in range(n):
-            t = _p_add(t, x[i][i])
-        return t
-
-    coeffs = [(Fraction(1),)]
-    mk = entries
-    for k in range(1, n + 1):
-        ck = _p_scale(mat_trace(mk), Fraction(-1, k))
-        coeffs.append(ck)
-        if k < n:
-            shifted = [
-                [
-                    _p_add(mk[i][j], ck) if i == j else mk[i][j]
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-            mk = mat_mul(entries, shifted)
-    return coeffs
-
-
-def _target_poly(d: int) -> tuple[Fraction, ...]:
-    # prod over i of (x - (2i - d)), coefficients highest degree first
-    coeffs = [Fraction(1)]
-    for i in range(d + 1):
-        root = Fraction(2 * i - d)
-        coeffs = [
-            (coeffs[k] if k < len(coeffs) else Fraction(0))
-            - root * (coeffs[k - 1] if k >= 1 else Fraction(0))
-            for k in range(len(coeffs) + 1)
-        ]
-    return tuple(coeffs)
-
-
 def _b_is_valid(cert: TriadCertificate, candidate: RMatrix) -> bool:
     d = cert.diameter
     target = tuple(Fraction(2 * i - d) for i in range(d + 1))
@@ -287,67 +191,32 @@ def _b_is_valid(cert: TriadCertificate, candidate: RMatrix) -> bool:
     return all(seq == target for seq in triple.sequences)
 
 
-def _solve_b(cert: TriadCertificate) -> tuple[RMatrix, int]:
-    """Solve the bracket constraints for B and pin down the solution.
+def _solve_b(cert: TriadCertificate) -> RMatrix:
+    """The unique B solving the bracket constraints, checked spectrally.
 
-    Returns (B, dimension of the homogeneous solution space of the raw
-    bracket system).  When that dimension is 1 a spectrum filter selects the
-    unique candidate whose characteristic polynomial matches the canonical
-    ladder; larger dimensions are refused.
+    A nonempty homogeneous solution space contradicts the uniqueness proof
+    in the module docstring and raises RuntimeError.
     """
-    a_mat, ap_mat, app_mat = cert.matrices
-    n = cert.dimension
+    _, ap_mat, app_mat = cert.matrices
     particular, homogeneous = solve_linear_matrix_system(
-        n,
+        cert.dimension,
         [
             (lambda b: commutator(app_mat, b) + 2 * b, 2 * app_mat),
             (lambda b: commutator(b, ap_mat) - 2 * b, 2 * ap_mat),
         ],
     )
-    freedom = len(homogeneous)
-    if freedom == 0:
-        if not _b_is_valid(cert, particular):
-            raise SynthesisError(
-                "the unique solution of the bracket constraints fails its "
-                "spectral or bidiagonal-triple requirements"
-            )
-        return particular, 0
-    if freedom >= 2:
-        raise AmbiguousSolution(
-            f"bracket constraints leave a {freedom}-dimensional solution "
-            "space; the spectrum filter supports only one free parameter"
+    if homogeneous:
+        raise RuntimeError(
+            f"bracket constraints on B left a {len(homogeneous)}-dimensional "
+            "homogeneous solution space; this contradicts a theorem, so the "
+            "solver itself is broken"
         )
-
-    coeffs_t = _char_poly_in_t(particular, homogeneous[0])
-    target = _target_poly(cert.diameter)
-    equations = []
-    for ck, tk in zip(coeffs_t, target):
-        diff = _p_add(ck, ((-tk),))
-        if diff != _P_ZERO:
-            equations.append(diff)
-    if not equations:
-        raise AmbiguousSolution(
-            "every member of the one-parameter solution family has the "
-            "canonical characteristic polynomial; cannot isolate B"
-        )
-    first = max(equations, key=len)
-    if len(first) == 1:
+    if not _b_is_valid(cert, particular):
         raise SynthesisError(
-            "spectrum filter is infeasible: a constant characteristic "
-            "coefficient differs from its canonical value"
+            "the unique solution of the bracket constraints fails its "
+            "spectral or bidiagonal-triple requirements"
         )
-    roots, _ = rational_roots(tuple(reversed(first)))
-    survivors = []
-    for t_val, _mult in roots:
-        if all(poly_eval(tuple(reversed(eq)), t_val) == 0 for eq in equations):
-            candidate = particular + t_val * homogeneous[0]
-            if _b_is_valid(cert, candidate):
-                survivors.append(candidate)
-    if len(survivors) != 1:
-        raise AmbiguousSolution(
-            f"spectrum filter left {len(survivors)} candidates for B"
-        )
-    return survivors[0], 1
+    return particular
 
 
 def construct_B(cert: TriadCertificate, rd: RaisingData | None = None) -> RMatrix:
@@ -362,8 +231,7 @@ def construct_B(cert: TriadCertificate, rd: RaisingData | None = None) -> RMatri
     _require_thin_reduced(cert)
     if cert.diameter >= 1 and rd is None:
         raise ValueError("raising data is required at diameter >= 1")
-    b, _ = _solve_b(cert)
-    return b
+    return _solve_b(cert)
 
 
 def construct_B_prime_dprime(
@@ -459,7 +327,7 @@ def synthesize_tet(
         )
     d = cert.diameter
     rd = raising_maps(cert) if d >= 1 else None
-    b, freedom = _solve_b(cert)
+    b = _solve_b(cert)
     bp, bpp = construct_B_prime_dprime(cert, rd, b)
     a_mat, ap_mat, app_mat = cert.matrices
     r_v, s_v, t_v, u_v = corner_assignment
@@ -502,5 +370,5 @@ def synthesize_tet(
         algebra_dimension=algebra_dim,
         irreducible=irreducible,
         corner_certificates=corner_certs,
-        b_solution_space_dim=freedom,
+        b_solution_space_dim=0,
     )

@@ -1,12 +1,14 @@
 """Modules for the six-edge Lie presentation on four vertices.
 
 A TetModule holds twelve generator matrices X_ij (i != j in {0,1,2,3}) with
-X_ji = -X_ij built into the storage.  The defining relations are checked
-exhaustively: 6 antisymmetry identities, 24 corner identities
+X_ji = -X_ij built into the storage.  The defining relations are 6
+antisymmetry identities, 24 corner identities
 [X_hi, X_ij] = 2 X_hi + 2 X_ij, and 24 Dolan-Grady identities
-[X_hi, [X_hi, [X_hi, X_jk]]] = 4 [X_hi, X_jk].  Corner triads, face
-triples, conforming spectra, and a sufficient irreducibility check give the
-structural views used by the synthesis pipeline.
+[X_hi, [X_hi, [X_hi, X_jk]]] = 4 [X_hi, X_jk]; all 54 are decided from 18
+distinct brackets.  Corner triads, face triples, conforming spectra, and an
+irreducibility test give the structural views used by the synthesis
+pipeline.  A module decomposes each of its six stored generators at most
+once; the spectral checks share those decompositions.
 """
 
 from __future__ import annotations
@@ -16,17 +18,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from triadtet.bdverify import TriadCertificate, verify_bd_triad
+from triadtet.bdverify import TriadCertificate, _verify_bd_triad_decomposed
 from triadtet.linalg import (
+    EigenDecomposition,
+    EigenPair,
+    IrrationalSpectrum,
     RMatrix,
     commutator,
     eigen_decompose,
     generated_algebra_dimension,
+    rref,
 )
 from triadtet.sl2 import EquitableTriple
 
 VERTICES = (0, 1, 2, 3)
 CANONICAL_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+OPPOSITE_EDGES = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
 
 
 class NonConformingSpectrum(ValueError):
@@ -50,7 +57,7 @@ class TetModule:
     edges must be covered.
     """
 
-    __slots__ = ("_dim", "_gens")
+    __slots__ = ("_dim", "_gens", "_eigen")
 
     def __init__(self, generators: Mapping[tuple[int, int], RMatrix]):
         stored: dict[tuple[int, int], RMatrix] = {}
@@ -78,6 +85,7 @@ class TetModule:
             raise ValueError(f"missing generators for edges {missing}")
         self._dim = dim
         self._gens = stored
+        self._eigen: dict[tuple[int, int], EigenDecomposition] = {}
 
     @classmethod
     def zero(cls, dim: int) -> "TetModule":
@@ -93,6 +101,26 @@ class TetModule:
         if i == j or i not in VERTICES or j not in VERTICES:
             raise ValueError(f"invalid edge ({i},{j})")
         return self._gens[(i, j)] if i < j else -self._gens[(j, i)]
+
+    def _decomposition(self, i: int, j: int) -> EigenDecomposition:
+        """Eigendecomposition of X_ij, computed once per stored generator.
+
+        X_ji = -X_ij reuses it: eigenvalues negated and reversed, the same
+        eigenspaces.  May raise IrrationalSpectrum, as eigen_decompose does.
+        """
+        key = (i, j) if i < j else (j, i)
+        dec = self._eigen.get(key)
+        if dec is None:
+            dec = self._eigen[key] = eigen_decompose(self._gens[key])
+        if i < j:
+            return dec
+        return EigenDecomposition(
+            tuple(
+                EigenPair(-p.value, p.algebraic_multiplicity, p.eigenspace)
+                for p in reversed(dec.pairs)
+            ),
+            dec.diagonalizable,
+        )
 
     @property
     def gens(self) -> dict[tuple[int, int], RMatrix]:
@@ -110,7 +138,7 @@ class TetModule:
 
 @dataclass(frozen=True, eq=False)
 class RelationReport:
-    """Outcome of the exhaustive 54-relation check.
+    """Outcome of the 54-relation check.
 
     violations holds (relation id, defect matrix) pairs in deterministic
     lexicographic order of the vertex tuples.
@@ -130,38 +158,48 @@ class RelationReport:
 
 
 def verify_tet_relations(module: TetModule) -> RelationReport:
-    """Check all 6 + 24 + 24 defining relations, collecting every violation."""
-    violations = []
+    """Decide all 6 + 24 + 24 defining relations, collecting every violation.
 
-    anti_ok = True
-    for i, j in CANONICAL_EDGES:
-        defect = module.gen(i, j) + module.gen(j, i)
-        if not defect.is_zero():
-            anti_ok = False
-            violations.append((f"antisymmetry ({i},{j})", defect))
-
-    corner_ok = True
+    Only 18 brackets are computed.  Antisymmetry holds in the storage.  The
+    corner defect of (j,i,h) is minus that of (h,i,j), leaving 12.  The
+    Dolan-Grady defect changes sign when either edge is reversed, leaving
+    one per outer edge; the two edges of an opposite pair share their inner
+    bracket.  Every failing relation is still listed under its own id, with
+    its own defect matrix.
+    """
+    corner = {}
     for h, i, j in itertools.permutations(VERTICES, 3):
-        xhi = module.gen(h, i)
-        xij = module.gen(i, j)
-        defect = commutator(xhi, xij) - 2 * xhi - 2 * xij
-        if not defect.is_zero():
-            corner_ok = False
-            violations.append((f"corner ({h},{i},{j})", defect))
+        if h < j:
+            xhi = module.gen(h, i)
+            xij = module.gen(i, j)
+            corner[(h, i, j)] = commutator(xhi, xij) - 2 * xhi - 2 * xij
 
-    dg_ok = True
-    for h, i, j, k in itertools.permutations(VERTICES, 4):
-        xhi = module.gen(h, i)
-        inner = commutator(xhi, module.gen(j, k))
-        defect = commutator(xhi, commutator(xhi, commutator(xhi, module.gen(j, k)))) - 4 * inner
+    # dolan[(h, i)] is the defect of (h,i)x(j,k) for h < i and j < k
+    dolan = {}
+    for e, f in OPPOSITE_EDGES:
+        xe = module.gen(*e)
+        xf = module.gen(*f)
+        shared = commutator(xe, xf)
+        dolan[e] = commutator(xe, commutator(xe, shared)) - 4 * shared
+        # [X_f, X_e] = -shared, so the defect with X_f outside is negated
+        dolan[f] = 4 * shared - commutator(xf, commutator(xf, shared))
+
+    violations = []
+    for h, i, j in itertools.permutations(VERTICES, 3):
+        defect = corner[(h, i, j)] if h < j else -corner[(j, i, h)]
         if not defect.is_zero():
-            dg_ok = False
+            violations.append((f"corner ({h},{i},{j})", defect))
+    for h, i, j, k in itertools.permutations(VERTICES, 4):
+        defect = dolan[(min(h, i), max(h, i))]
+        if (h > i) != (j > k):
+            defect = -defect
+        if not defect.is_zero():
             violations.append((f"dolan-grady ({h},{i})x({j},{k})", defect))
 
     return RelationReport(
-        antisymmetry_ok=anti_ok,
-        corner_ok=corner_ok,
-        dolan_grady_ok=dg_ok,
+        antisymmetry_ok=True,
+        corner_ok=all(d.is_zero() for d in corner.values()),
+        dolan_grady_ok=all(d.is_zero() for d in dolan.values()),
         violations=tuple(violations),
     )
 
@@ -171,10 +209,12 @@ def spectrum_diameter(module: TetModule) -> int:
 
     Raises NonConformingSpectrum when some generator is not diagonalizable
     or its eigenvalue set is not such a ladder, or when the ladders disagree.
+    The ladder is symmetric, so X_ji = -X_ij conforms exactly when X_ij does
+    and only the six stored generators are inspected.
     """
     diameters = set()
-    for i, j in itertools.permutations(VERTICES, 2):
-        decomp = eigen_decompose(module.gen(i, j))
+    for i, j in CANONICAL_EDGES:
+        decomp = module._decomposition(i, j)
         values = decomp.eigenvalues
         if not decomp.diagonalizable:
             raise NonConformingSpectrum(
@@ -218,17 +258,69 @@ def face_triple(module: TetModule, h: int, i: int, j: int) -> EquitableTriple:
 
 
 def irreducible_sufficient(module: TetModule) -> tuple[bool, int]:
-    """Whether the generators provably act irreducibly, plus the algebra dim.
+    """Whether the generated unital algebra is all of M_n, plus its dimension.
 
-    Certifies via the full-matrix-algebra criterion: the unital algebra
-    generated by the six canonical generators has dimension (dim V)^2 exactly
-    when no proper nonzero invariant subspace exists.  A False flag means
-    "not certified", never "reducible".
+    Exact when some generator has a simple rational spectrum (Burnside): in
+    its eigenbasis the spectral projectors give every E_ii and E_jj X E_ii
+    gives E_ji wherever X has a nonzero (j, i) entry, so the algebra is M_n
+    exactly when the other generators' support graph is strongly connected;
+    if it is not, a node set closed under out-edges spans a proper invariant
+    subspace.  The algebra closure runs only without a simple spectrum, where
+    False means "not absolutely irreducible", or to report the dimension of
+    a reducible module.
     """
+    n = module.dim
+    for edge in CANONICAL_EDGES:
+        try:
+            decomp = module._decomposition(*edge)
+        except IrrationalSpectrum:
+            continue
+        if len(decomp.pairs) == n:
+            if _support_strongly_connected(module, edge, decomp):
+                return True, n * n
+            break
     dim = generated_algebra_dimension(
-        module.dim, [module.gen(i, j) for i, j in CANONICAL_EDGES]
+        n, [module.gen(i, j) for i, j in CANONICAL_EDGES]
     )
-    return dim == module.dim ** 2, dim
+    return dim == n * n, dim
+
+
+def _support_strongly_connected(
+    module: TetModule, edge: tuple[int, int], decomp: EigenDecomposition
+) -> bool:
+    """Strong connectivity of the other generators' support in an eigenbasis.
+
+    `decomp` is the simple spectrum of the generator on `edge`.  With P the
+    matrix of its eigenvectors, one row reduction of [P | X_1 P | ...] yields
+    [I | P^-1 X_1 P | ...]; node i has an edge to node j when some block has
+    a nonzero (j, i) entry.
+    """
+    n = module.dim
+    p = RMatrix([pair.eigenspace.basis[0] for pair in decomp.pairs]).transpose()
+    blocks = [module.gen(*e) * p for e in CANONICAL_EDGES if e != edge]
+    reduced, _ = rref(
+        RMatrix([p[r] + sum((y[r] for y in blocks), ()) for r in range(n)])
+    )
+    succ = [[] for _ in range(n)]
+    pred = [[] for _ in range(n)]
+    for j in range(n):
+        row = reduced[j]
+        for i in range(n):
+            if i != j and any(row[n * k + i] for k in range(1, len(blocks) + 1)):
+                succ[i].append(j)
+                pred[j].append(i)
+
+    def reaches_all(adjacent: list[list[int]]) -> bool:
+        seen = {0}
+        stack = [0]
+        while stack:
+            for w in adjacent[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return len(seen) == n
+
+    return reaches_all(succ) and reaches_all(pred)
 
 
 def corner_triads_are_bd_triads(
@@ -236,12 +328,15 @@ def corner_triads_are_bd_triads(
 ) -> tuple[TriadCertificate, TriadCertificate, TriadCertificate, TriadCertificate]:
     """Certify all four corner triads as reduced bidiagonal triads.
 
-    Raises CornerTriadRefuted at the first corner whose triad fails
-    verification or lands off the canonical eigenvalue sequences.
+    Each corner is verified as `verify_bd_triad` would, with the module's
+    shared eigendecompositions.  Raises CornerTriadRefuted at the first
+    corner whose triad fails verification or lands off the canonical
+    eigenvalue sequences.
     """
     certificates = []
     for u in VERTICES:
-        result = verify_bd_triad(*corner_triad(module, u))
+        decomps = [module._decomposition(v, u) for v in VERTICES if v != u]
+        result = _verify_bd_triad_decomposed(corner_triad(module, u), decomps)
         if not result:
             raise CornerTriadRefuted(u, result)
         if not result.reduced:

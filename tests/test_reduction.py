@@ -70,6 +70,8 @@ def test_affine_witness_detects_mismatch():
 def test_reduce_already_reduced_is_identity(counterexample_cert):
     reduced, witnesses = tt.reduce_triad(counterexample_cert)
     assert witnesses == ((1, 0), (1, 0), (1, 0))
+    # identity witnesses leave the certified matrices as they are
+    assert reduced is counterexample_cert
     assert reduced.matrices == counterexample_cert.matrices
     assert reduced.reduced
 

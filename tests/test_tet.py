@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
+import sys
+from fractions import Fraction
+
 import pytest
 
 import triadtet as tt
@@ -252,3 +256,228 @@ def test_corner_triads_refuted_on_degenerate_module():
         tt.corner_triads_are_bd_triads(tt.TetModule.zero(2))
     assert info.value.vertex == 0
     assert not info.value.refutation
+
+
+# -- irreducibility: the Burnside test against the algebra closure ----------
+
+def _synthesized_module(d: int) -> tt.TetModule:
+    cert = tt.verify_bd_triad(*tt.fixture_vd_triad(d, 1, 2).matrices())
+    return tt.synthesize_tet(cert).module
+
+
+def _inverse(p: RMatrix) -> RMatrix:
+    n = p.rows
+    eye = RMatrix.identity(n)
+    reduced, rank = tt.rref(RMatrix([p[i] + eye[i] for i in range(n)]))
+    assert rank == n
+    return RMatrix([row[n:] for row in reduced])
+
+
+def _conjugated(module: tt.TetModule, p: RMatrix) -> tt.TetModule:
+    p_inv = _inverse(p)
+    return tt.TetModule(
+        {edge: p_inv * module.gen(*edge) * p for edge in CANONICAL_EDGES}
+    )
+
+
+def _block_sum(first: tt.TetModule, second: tt.TetModule) -> tt.TetModule:
+    n, m = first.dim, second.dim
+
+    def block(x: RMatrix, y: RMatrix) -> RMatrix:
+        return RMatrix(
+            [list(x[i]) + [0] * m for i in range(n)]
+            + [[0] * n + list(y[i]) for i in range(m)]
+        )
+
+    return tt.TetModule(
+        {edge: block(first.gen(*edge), second.gen(*edge)) for edge in CANONICAL_EDGES}
+    )
+
+
+def _closure_dimension(module: tt.TetModule) -> int:
+    return tt.generated_algebra_dimension(
+        module.dim, [module.gen(*edge) for edge in CANONICAL_EDGES]
+    )
+
+
+def _count_closure_calls(monkeypatch) -> list:
+    from triadtet import tet
+
+    calls = []
+    original = tet.generated_algebra_dimension
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(tet, "generated_algebra_dimension", counted)
+    return calls
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_burnside_agrees_with_closure_on_synthesized_modules(d, monkeypatch):
+    module = _synthesized_module(d)
+    expected = _closure_dimension(module)
+    assert expected == (d + 1) ** 2
+    calls = _count_closure_calls(monkeypatch)
+    assert tt.irreducible_sufficient(module) == (True, expected)
+    assert calls == []
+
+
+def test_burnside_agrees_with_closure_on_dense_conjugate(monkeypatch):
+    p = RMatrix([[1, 2, -1], [Fraction(1, 2), 3, 1], [-2, 1, Fraction(5, 3)]])
+    base = _synthesized_module(2)
+    module = _conjugated(base, p)
+    assert module.gen(0, 1) != base.gen(0, 1)
+    expected = _closure_dimension(module)
+    calls = _count_closure_calls(monkeypatch)
+    assert tt.irreducible_sufficient(module) == (True, expected)
+    assert expected == 9 and calls == []
+
+
+def test_burnside_falls_back_without_a_simple_spectrum(monkeypatch):
+    module = tt.TetModule.zero(2)
+    calls = _count_closure_calls(monkeypatch)
+    assert tt.irreducible_sufficient(module) == (False, 1)
+    assert len(calls) == 1
+
+
+def test_burnside_refutes_a_reducible_sum_with_simple_spectra(monkeypatch):
+    module = _block_sum(_synthesized_module(2), _synthesized_module(1))
+    # spectrum {-2, 0, 2} + {-1, 1}: five distinct eigenvalues on Q^5
+    assert len(tt.eigen_decompose(module.gen(0, 1)).pairs) == 5
+    expected = _closure_dimension(module)
+    calls = _count_closure_calls(monkeypatch)
+    assert tt.irreducible_sufficient(module) == (False, expected)
+    assert expected == 9 + 4
+    assert len(calls) == 1
+
+
+def test_burnside_needs_support_edges_in_both_directions():
+    """A lower-triangular action reaches every node from the first one only."""
+    lower = RMatrix([[0, 0], [1, 0]])
+    gens = {edge: lower for edge in CANONICAL_EDGES}
+    gens[(0, 1)] = RMatrix.diagonal([0, 1])
+    module = tt.TetModule(gens)
+    assert _closure_dimension(module) == 3
+    assert tt.irreducible_sufficient(module) == (False, 3)
+
+
+# -- the 54 relations from 18 brackets ---------------------------------------
+
+def _relations_exhaustive(module: tt.TetModule) -> list:
+    """Reference: every one of the 54 relations evaluated on its own."""
+    violations = []
+    for i, j in CANONICAL_EDGES:
+        defect = module.gen(i, j) + module.gen(j, i)
+        if not defect.is_zero():
+            violations.append((f"antisymmetry ({i},{j})", defect))
+    for h, i, j in itertools.permutations(range(4), 3):
+        xhi, xij = module.gen(h, i), module.gen(i, j)
+        defect = tt.commutator(xhi, xij) - 2 * xhi - 2 * xij
+        if not defect.is_zero():
+            violations.append((f"corner ({h},{i},{j})", defect))
+    for h, i, j, k in itertools.permutations(range(4), 4):
+        xhi, xjk = module.gen(h, i), module.gen(j, k)
+        inner = tt.commutator(xhi, xjk)
+        defect = tt.commutator(xhi, tt.commutator(xhi, inner)) - 4 * inner
+        if not defect.is_zero():
+            violations.append((f"dolan-grady ({h},{i})x({j},{k})", defect))
+    return violations
+
+
+def _assert_matches_reference(module: tt.TetModule) -> tt.RelationReport:
+    report = tt.verify_tet_relations(module)
+    expected = _relations_exhaustive(module)
+    assert [v[0] for v in report.violations] == [v[0] for v in expected]
+    assert [v[1] for v in report.violations] == [v[1] for v in expected]
+    assert report.corner_ok == (not any(v[0].startswith("corner") for v in expected))
+    assert report.dolan_grady_ok == (
+        not any(v[0].startswith("dolan") for v in expected)
+    )
+    return report
+
+
+@pytest.mark.parametrize("edge", CANONICAL_EDGES)
+def test_relations_match_exhaustive_loop_with_one_corrupted_generator(edge, d2_synthesis):
+    gens = {e: d2_synthesis.module.gen(*e) for e in CANONICAL_EDGES}
+    gens[edge] = gens[edge] + RMatrix([[0, 1, 0], [0, 0, 0], [Fraction(1, 3), 0, 0]])
+    report = _assert_matches_reference(tt.TetModule(gens))
+    assert not report.passed
+    # both orientations of every failing corner and Dolan-Grady class appear
+    ids = {v[0] for v in report.violations}
+    assert any(i.startswith("corner") for i in ids)
+    assert len(ids) % 2 == 0
+
+
+def test_relations_match_exhaustive_loop_on_fixtures(d2_synthesis, counterexample):
+    doc, x02 = counterexample
+    zero = RMatrix.zero(6)
+    modules = (
+        d2_synthesis.module,
+        tt.TetModule({edge: RMatrix.identity(2) for edge in CANONICAL_EDGES}),
+        tt.TetModule(
+            {
+                (0, 3): doc.a,
+                (1, 3): doc.a_prime,
+                (2, 3): doc.a_dprime,
+                (0, 2): x02,
+                (0, 1): zero,
+                (1, 2): zero,
+            }
+        ),
+    )
+    for module in modules:
+        _assert_matches_reference(module)
+
+
+# -- one eigendecomposition per stored generator ----------------------------
+
+def test_synthesis_decomposes_each_generator_once(monkeypatch):
+    """At d = 4: 6 module generators plus 4 for checking B."""
+    from triadtet import linalg
+
+    cert = tt.verify_bd_triad(*tt.fixture_vd_triad(4, 1, 2).matrices())
+    original = linalg.eigen_decompose
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return original(m)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("triadtet") and getattr(module, "eigen_decompose", None) is original:
+            monkeypatch.setattr(module, "eigen_decompose", counted)
+    result = tt.synthesize_tet(cert)
+    assert result.report.passed and result.algebra_dimension == 25
+    assert len(calls) <= 10
+
+
+def test_shared_decompositions_equal_fresh_ones(counterexample):
+    """X_ji reuses the decomposition of X_ij negated, in ascending order."""
+    doc, x02 = counterexample
+    module = tt.TetModule(
+        {
+            (0, 3): doc.a,
+            (1, 3): doc.a_prime,
+            (2, 3): doc.a_dprime,
+            (0, 2): x02,
+            (0, 1): RMatrix.diagonal([1, 0, 0, 2, 0, 0]),
+            (2, 1): RMatrix([[int(i == j + 1) for j in range(6)] for i in range(6)]),
+        }
+    )
+    for i, j in itertools.permutations(range(4), 2):
+        assert module._decomposition(i, j) == tt.eigen_decompose(module.gen(i, j))
+
+
+@pytest.mark.parametrize("d", [0, 1, 3])
+def test_corner_certificates_match_fresh_verification(d):
+    """Shared, sign-flipped decompositions give the certificates verify_bd_triad does."""
+    cert = tt.verify_bd_triad(*tt.fixture_vd_triad(d, 2, 3).matrices())
+    result = tt.synthesize_tet(cert)
+    assert len(result.corner_certificates) == 4
+    for u, shared in enumerate(result.corner_certificates):
+        fresh = tt.verify_bd_triad(*tt.corner_triad(result.module, u))
+        for field in ("diameter", "orderings", "sequences", "shape", "thin",
+                      "bijection_witnesses", "matrices"):
+            assert getattr(shared, field) == getattr(fresh, field)
