@@ -5,25 +5,38 @@ Each verifier either returns a certificate carrying the discovered structure
 witnesses) or a falsy Refutation naming the first axiom clause that failed
 together with a concrete witness.  Certificates are truthy, refutations are
 falsy, so callers can write `if (cert := verify_bd_triad(a, ap, app)): ...`.
+
+The three verifiers are one core read from a plan: per transformation, the
+actors that raise and lower its eigenspace chain and its commutator-power
+families.  A standard ordering is found without search.  V is the direct
+sum of the eigenspaces U_u, so the image of a basis vector of U_u has unique
+coordinates in them.  Under a raising actor, a nonzero coordinate in U_w
+(w != u) forces U_w to follow U_u directly; under a lowering actor it forces
+U_w to precede U_u directly.  No ordering exists when an image leaves the
+sum of the eigenspaces, when some eigenspace gets two forced successors or
+two forced predecessors, or when the forced edges close a cycle.  Otherwise
+the forced edges form f disjoint paths, and an ordering is admissible
+exactly when it keeps every forced edge adjacent, that is, when it
+concatenates the f paths in some order.  There are f! admissible orderings,
+so the standard ordering exists and is unique exactly when f = 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from triadtet.linalg import (
     EigenDecomposition,
     ImageNotContained,
     RMatrix,
     Subspace,
+    basis_coordinates,
     commutator,
     eigen_decompose,
     restricted_power_bijective,
 )
-
-ORDERING_SEARCH_LIMIT = 9
 
 
 class NoStandardOrdering(ValueError):
@@ -32,10 +45,6 @@ class NoStandardOrdering(ValueError):
 
 class AmbiguousOrdering(ValueError):
     """More than one ordering satisfies the containment conditions."""
-
-
-class OrderingSearchTooLarge(ValueError):
-    """Exhaustive ordering search refused beyond the supported size."""
 
 
 class DimensionMismatch(RuntimeError):
@@ -135,11 +144,10 @@ class TriadCertificate:
         return all(seq == target for seq in self.sequences)
 
 
-def _within(images: Sequence[tuple[Fraction, ...]], space: Subspace) -> bool:
-    return all(space.contains(v) for v in images)
+_NO_ORDERING = "no ordering of the eigenspaces satisfies the containment conditions"
 
 
-def _find_ordering_mixed(
+def _standard_ordering(
     decomp: EigenDecomposition,
     raising: Sequence[RMatrix],
     lowering: Sequence[RMatrix],
@@ -148,101 +156,49 @@ def _find_ordering_mixed(
 
     An ordering U_0..U_d is admissible when every raising actor X satisfies
     X U_i <= U_i + U_{i+1} (with X U_d <= U_d) and every lowering actor Y
-    satisfies Y U_i <= U_{i-1} + U_i (with Y U_0 <= U_0).  The successor
-    relation "U can be followed by W" is computed for all ordered pairs; when
-    every out-degree is at most 1 the admissible chains are forced and are
-    enumerated directly, otherwise a depth-first search enumerates candidate
-    orderings (refused above ORDERING_SEARCH_LIMIT eigenspaces).
+    satisfies Y U_i <= U_{i-1} + U_i (with Y U_0 <= U_0).  One row reduction
+    of [P | X_1 P | ...], P holding the eigenspace bases as columns, gives
+    the coordinates that force the edges; the forced paths are then followed
+    as the module docstring describes.
     """
     spaces = decomp.eigenspaces
     values = decomp.eigenvalues
     k = len(spaces)
     if k == 1:
         return StandardOrdering(spaces, values)
-    ambient = spaces[0].ambient_dim
+    # block[c] is the eigenspace that column c of P belongs to
+    block = [u for u, space in enumerate(spaces) for _ in space.basis]
+    p = RMatrix([b for space in spaces for b in space.basis]).transpose()
+    coords = basis_coordinates(p, [x * p for x in (*raising, *lowering)])
+    if coords is None:
+        raise NoStandardOrdering(_NO_ORDERING)
 
-    images: list[list[list[tuple[Fraction, ...]]]] = []
-    for actor in list(raising) + list(lowering):
-        images.append(
-            [[actor.apply(b) for b in space.basis] for space in spaces]
-        )
-    raising_images = images[: len(raising)]
-    lowering_images = images[len(raising):]
+    succ: dict[int, int] = {}
+    pred: dict[int, int] = {}
+    for t, c in enumerate(coords):
+        for row, w in enumerate(block):
+            for col, u in enumerate(block):
+                if w == u or not c[row][col]:
+                    continue
+                src, dst = (u, w) if t < len(raising) else (w, u)
+                if succ.setdefault(src, dst) != dst or pred.setdefault(dst, src) != src:
+                    raise NoStandardOrdering(_NO_ORDERING)
 
-    sums: dict[tuple[int, int], Subspace] = {}
-
-    def pair_sum(u: int, w: int) -> Subspace:
-        key = (u, w) if u < w else (w, u)
-        if key not in sums:
-            sums[key] = spaces[key[0]] + spaces[key[1]]
-        return sums[key]
-
-    def edge(u: int, w: int) -> bool:
-        target = pair_sum(u, w)
-        return all(
-            _within(imgs[u], target) for imgs in raising_images
-        ) and all(_within(imgs[w], target) for imgs in lowering_images)
-
-    def start_ok(u: int) -> bool:
-        return all(_within(imgs[u], spaces[u]) for imgs in lowering_images)
-
-    def end_ok(u: int) -> bool:
-        return all(_within(imgs[u], spaces[u]) for imgs in raising_images)
-
-    succ = {u: [w for w in range(k) if w != u and edge(u, w)] for u in range(k)}
-    starts = [u for u in range(k) if start_ok(u)]
-
-    found: list[tuple[int, ...]] = []
-    if all(len(ws) <= 1 for ws in succ.values()):
-        for s in starts:
-            path = [s]
-            seen = {s}
-            while len(path) < k:
-                nxt = [w for w in succ[path[-1]] if w not in seen]
-                if not nxt:
-                    break
-                path.append(nxt[0])
-                seen.add(nxt[0])
-            if len(path) == k and end_ok(path[-1]):
-                found.append(tuple(path))
-                if len(found) == 2:
-                    break
-    else:
-        if k > ORDERING_SEARCH_LIMIT:
-            raise OrderingSearchTooLarge(
-                f"ordering search over {k} eigenspaces with branching successors "
-                f"exceeds the supported limit of {ORDERING_SEARCH_LIMIT}"
-            )
-
-        def extend(path: list[int], seen: set[int]) -> None:
-            if len(found) >= 2:
-                return
-            if len(path) == k:
-                if end_ok(path[-1]):
-                    found.append(tuple(path))
-                return
-            for w in succ[path[-1]]:
-                if w not in seen:
-                    path.append(w)
-                    seen.add(w)
-                    extend(path, seen)
-                    path.pop()
-                    seen.remove(w)
-
-        for s in starts:
-            extend([s], {s})
-            if len(found) >= 2:
-                break
-
-    if not found:
-        raise NoStandardOrdering(
-            "no ordering of the eigenspaces satisfies the containment conditions"
-        )
-    if len(found) > 1:
+    paths = []
+    for start in range(k):
+        if start not in pred:
+            path = [start]
+            while path[-1] in succ:
+                path.append(succ[path[-1]])
+            paths.append(path)
+    if sum(map(len, paths)) < k:
+        # every eigenspace off the paths lies on a cycle of forced edges
+        raise NoStandardOrdering(_NO_ORDERING)
+    if len(paths) > 1:
         raise AmbiguousOrdering(
             "more than one ordering satisfies the containment conditions"
         )
-    order = found[0]
+    order = paths[0]
     return StandardOrdering(
         tuple(spaces[u] for u in order), tuple(values[u] for u in order)
     )
@@ -258,16 +214,69 @@ def find_standard_ordering(
     direction "raising" demands X U_i <= U_i + U_{i+1} for every actor X;
     "lowering" demands X U_i <= U_{i-1} + U_i.  Raises NoStandardOrdering or
     AmbiguousOrdering when the ordering does not exist or is not unique.
+
+    No search is made.  Each nonzero coordinate that an actor's image of
+    U_u has in another eigenspace U_w forces U_w to sit directly after U_u
+    (before it, for "lowering").  The forced edges either break (a second
+    successor or predecessor, a cycle, an image outside the eigenspaces)
+    or form f disjoint paths, whose f! concatenations are exactly the
+    admissible orderings.
     """
     if direction == "raising":
-        return _find_ordering_mixed(primary, actors, ())
+        return _standard_ordering(primary, actors, ())
     if direction == "lowering":
-        return _find_ordering_mixed(primary, (), actors)
+        return _standard_ordering(primary, (), actors)
     raise ValueError(f"direction must be 'raising' or 'lowering', got {direction!r}")
 
 
-_PAIR_LABELS = ("A", "A'")
 _TRIAD_LABELS = ("A", "A'", "A''")
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """One verifier as data; inputs are indexed as in _TRIAD_LABELS.
+
+    steps[k] is (raising, lowering, families) for input k: the indices of
+    the inputs that raise and that lower its eigenspace chain, and its
+    commutator families as (witness tag, other index, up).  The family
+    [X_other, X_k]^(d-2i) must map U_i onto U_{d-i} when up and U_{d-i}
+    onto U_i otherwise, for 0 <= i <= d/2.  `degenerate` refuses a
+    diameter-0 input off dimension 1.
+    """
+
+    kind: str
+    certificate: type
+    steps: tuple
+    degenerate: bool = False
+
+
+_PAIR = _Plan(
+    "pair",
+    PairCertificate,
+    (
+        ((1,), (), (("A [A',A]", 1, True),)),
+        ((0,), (), (("A' [A,A']", 0, True),)),
+    ),
+)
+_TRIPLE = _Plan(
+    "triple",
+    TripleCertificate,
+    (
+        ((1,), (2,), (("A up", 1, True), ("A down", 2, False))),
+        ((2,), (0,), (("A' up", 2, True), ("A' down", 0, False))),
+        ((0,), (1,), (("A'' up", 0, True), ("A'' down", 1, False))),
+    ),
+)
+_TRIAD = _Plan(
+    "triad",
+    TriadCertificate,
+    (
+        ((1, 2), (), (("A via1", 1, True), ("A via2", 2, True))),
+        ((2, 0), (), (("A' via1", 2, True), ("A' via2", 0, True))),
+        ((0, 1), (), (("A'' via1", 0, True), ("A'' via2", 1, True))),
+    ),
+    degenerate=True,
+)
 
 
 def _input_check(matrices: Sequence[RMatrix]) -> Refutation | None:
@@ -290,148 +299,6 @@ def _input_check(matrices: Sequence[RMatrix]) -> Refutation | None:
     return None
 
 
-def _not_diagonalizable(dec: EigenDecomposition, label: str) -> Refutation | None:
-    if dec.diagonalizable:
-        return None
-    defective = next(
-        p.value
-        for p in dec.pairs
-        if p.geometric_multiplicity < p.algebraic_multiplicity
-    )
-    return Refutation(
-        "diagonalizable",
-        f"{label} has a defective eigenvalue {defective}",
-        label,
-        witness=dec,
-    )
-
-
-def _decompose_all(
-    matrices: Sequence[RMatrix], labels: Sequence[str]
-) -> tuple[list[EigenDecomposition], Refutation | None]:
-    decomps = []
-    for label, m in zip(labels, matrices):
-        dec = eigen_decompose(m)
-        bad = _not_diagonalizable(dec, label)
-        if bad is not None:
-            return [], bad
-        decomps.append(dec)
-    return decomps, None
-
-
-def _ordering_or_refutation(
-    decomp: EigenDecomposition,
-    raising: Sequence[RMatrix],
-    lowering: Sequence[RMatrix],
-    label: str,
-) -> StandardOrdering | Refutation:
-    try:
-        return _find_ordering_mixed(decomp, raising, lowering)
-    except NoStandardOrdering as exc:
-        return Refutation("ordering", str(exc), label)
-    except AmbiguousOrdering as exc:
-        return Refutation("ordering", str(exc), label)
-
-
-def _bijection_checks(
-    checks: Sequence[tuple[str, RMatrix, int, Subspace, Subspace, int]],
-) -> tuple[dict, Refutation | None]:
-    """Run restricted-power bijectivity checks, first failure wins.
-
-    Each check is (family label, matrix, power, domain, codomain, index).
-    Returns the witness dict keyed (family, index).
-    """
-    witnesses = {}
-    for family, matrix, power, dom, cod, idx in checks:
-        label = family.split()[0]
-        try:
-            ok, witness = restricted_power_bijective(matrix, power, dom, cod)
-        except ImageNotContained as exc:
-            return witnesses, Refutation(
-                "bijection",
-                f"{family}: {exc}",
-                label,
-                index=idx,
-            )
-        if not ok:
-            return witnesses, Refutation(
-                "bijection",
-                f"{family}: restricted power is not invertible",
-                label,
-                index=idx,
-                witness=witness,
-            )
-        witnesses[(family, idx)] = witness
-    return witnesses, None
-
-
-def verify_bd_pair(a: RMatrix, a_prime: RMatrix) -> PairCertificate | Refutation:
-    """Certify or refute the bidiagonal-pair axioms for (A, A').
-
-    Checks: both diagonalizable; eigenspace orderings along which the other
-    transformation raises; the restricted commutator powers
-    [A',A]^(d-2i): V_i -> V_{d-i} and [A,A']^(D-2i): V'_i -> V'_{D-i}
-    invertible for 0 <= i <= d/2 (resp. D/2).  On success the two diameters
-    provably agree.
-    """
-    bad = _input_check([a, a_prime])
-    if bad is not None:
-        return bad
-    decomps, bad = _decompose_all([a, a_prime], _PAIR_LABELS)
-    if bad is not None:
-        return bad
-
-    ord_a = _ordering_or_refutation(decomps[0], [a_prime], (), "A")
-    if isinstance(ord_a, Refutation):
-        return ord_a
-    ord_ap = _ordering_or_refutation(decomps[1], [a], (), "A'")
-    if isinstance(ord_ap, Refutation):
-        return ord_ap
-    d = ord_a.diameter
-    dd = ord_ap.diameter
-
-    checks = []
-    com1 = commutator(a_prime, a)
-    for i in range(d // 2 + 1):
-        checks.append(
-            (
-                "A [A',A]",
-                com1,
-                d - 2 * i,
-                ord_a.eigenspaces[i],
-                ord_a.eigenspaces[d - i],
-                i,
-            )
-        )
-    com2 = commutator(a, a_prime)
-    for i in range(dd // 2 + 1):
-        checks.append(
-            (
-                "A' [A,A']",
-                com2,
-                dd - 2 * i,
-                ord_ap.eigenspaces[i],
-                ord_ap.eigenspaces[dd - i],
-                i,
-            )
-        )
-    witnesses, bad = _bijection_checks(checks)
-    if bad is not None:
-        return bad
-    if d != dd:
-        raise RuntimeError(
-            "pair verified with unequal diameters; this contradicts a theorem, "
-            "so the verifier itself is broken"
-        )
-    return PairCertificate(
-        diameter=d,
-        orderings=(ord_a, ord_ap),
-        sequences=(ord_a.eigenvalues, ord_ap.eigenvalues),
-        bijection_witnesses=witnesses,
-        matrices=(a, a_prime),
-    )
-
-
 def _shape_from_orderings(
     orderings: Sequence[StandardOrdering], d: int
 ) -> tuple[int, ...]:
@@ -449,6 +316,118 @@ def _shape_from_orderings(
     return tuple(shape)
 
 
+def _verify(
+    plan: _Plan,
+    matrices: Sequence[RMatrix],
+    decomps: Iterable[EigenDecomposition] | None = None,
+) -> PairCertificate | TripleCertificate | TriadCertificate | Refutation:
+    """Certify or refute `matrices` against `plan`, first failing clause wins.
+
+    Clauses run in order: dimensions, diagonalizable, ordering, degenerate,
+    bijection.  Without `decomps` the inputs are checked and decomposed one
+    at a time, so a defective A is refuted before A' is decomposed.  Callers
+    that already hold the decompositions of square inputs of one size, such
+    as the corner re-certification of a module, pass them; the certificate
+    is the same either way.
+    """
+    if decomps is None:
+        bad = _input_check(matrices)
+        if bad is not None:
+            return bad
+        decomps = (eigen_decompose(m) for m in matrices)
+    checked = []
+    for label, dec in zip(_TRIAD_LABELS, decomps):
+        if not dec.diagonalizable:
+            defective = next(
+                p.value
+                for p in dec.pairs
+                if p.geometric_multiplicity < p.algebraic_multiplicity
+            )
+            return Refutation(
+                "diagonalizable",
+                f"{label} has a defective eigenvalue {defective}",
+                label,
+                witness=dec,
+            )
+        checked.append(dec)
+
+    orderings = []
+    for label, dec, (raising, lowering, _) in zip(_TRIAD_LABELS, checked, plan.steps):
+        try:
+            ordering = _standard_ordering(
+                dec, [matrices[r] for r in raising], [matrices[w] for w in lowering]
+            )
+        except (NoStandardOrdering, AmbiguousOrdering) as exc:
+            return Refutation("ordering", str(exc), label)
+        orderings.append(ordering)
+
+    n = matrices[0].rows
+    if plan.degenerate and n > 1 and all(o.diameter == 0 for o in orderings):
+        return Refutation(
+            "degenerate",
+            f"all three transformations are scalar on a {n}-dimensional "
+            "space; a diameter-0 triad is accepted only on dimension 1",
+        )
+
+    witnesses = {}
+    for label, base, ordering, (_, _, families) in zip(
+        _TRIAD_LABELS, matrices, orderings, plan.steps
+    ):
+        d = ordering.diameter
+        powers = [
+            (tag, commutator(matrices[other], base), up)
+            for tag, other, up in families
+        ]
+        for i in range(d // 2 + 1):
+            low, high = ordering.eigenspaces[i], ordering.eigenspaces[d - i]
+            for tag, com, up in powers:
+                dom, cod = (low, high) if up else (high, low)
+                try:
+                    ok, witness = restricted_power_bijective(com, d - 2 * i, dom, cod)
+                except ImageNotContained as exc:
+                    return Refutation("bijection", f"{tag}: {exc}", label, index=i)
+                if not ok:
+                    return Refutation(
+                        "bijection",
+                        f"{tag}: restricted power is not invertible",
+                        label,
+                        index=i,
+                        witness=witness,
+                    )
+                witnesses[(tag, i)] = witness
+
+    d = orderings[0].diameter
+    if any(o.diameter != d for o in orderings):
+        raise RuntimeError(
+            f"{plan.kind} verified with unequal diameters; this contradicts a "
+            "theorem, so the verifier itself is broken"
+        )
+    fields = {}
+    if plan is not _PAIR:
+        shape = _shape_from_orderings(orderings, d)
+        fields = {"shape": shape, "thin": all(r == 1 for r in shape)}
+    return plan.certificate(
+        diameter=d,
+        orderings=tuple(orderings),
+        sequences=tuple(o.eigenvalues for o in orderings),
+        bijection_witnesses=witnesses,
+        matrices=tuple(matrices),
+        **fields,
+    )
+
+
+def verify_bd_pair(a: RMatrix, a_prime: RMatrix) -> PairCertificate | Refutation:
+    """Certify or refute the bidiagonal-pair axioms for (A, A').
+
+    Checks: both diagonalizable; eigenspace orderings along which the other
+    transformation raises; the restricted commutator powers
+    [A',A]^(d-2i): V_i -> V_{d-i} and [A,A']^(D-2i): V'_i -> V'_{D-i}
+    invertible for 0 <= i <= d/2 (resp. D/2).  On success the two diameters
+    provably agree.
+    """
+    return _verify(_PAIR, (a, a_prime))
+
+
 def verify_bd_triple(
     a: RMatrix, a_prime: RMatrix, a_dprime: RMatrix
 ) -> TripleCertificate | Refutation:
@@ -459,75 +438,7 @@ def verify_bd_triple(
     two restricted commutator-power families are invertible in opposite
     directions.
     """
-    bad = _input_check([a, a_prime, a_dprime])
-    if bad is not None:
-        return bad
-    decomps, bad = _decompose_all([a, a_prime, a_dprime], _TRIAD_LABELS)
-    if bad is not None:
-        return bad
-
-    plans = (
-        ("A", decomps[0], [a_prime], [a_dprime]),
-        ("A'", decomps[1], [a_dprime], [a]),
-        ("A''", decomps[2], [a], [a_prime]),
-    )
-    orderings = []
-    for label, decomp, raising, lowering in plans:
-        result = _ordering_or_refutation(decomp, raising, lowering, label)
-        if isinstance(result, Refutation):
-            return result
-        orderings.append(result)
-    ord_a, ord_ap, ord_app = orderings
-    d, dd, ddd = (o.diameter for o in orderings)
-
-    checks = []
-    pairs = (
-        ("A", ord_a, d, a, a_prime, a_dprime),
-        ("A'", ord_ap, dd, a_prime, a_dprime, a),
-        ("A''", ord_app, ddd, a_dprime, a, a_prime),
-    )
-    for label, ordering, diam, base, nxt, prv in pairs:
-        up = commutator(nxt, base)
-        down = commutator(prv, base)
-        for i in range(diam // 2 + 1):
-            checks.append(
-                (
-                    f"{label} up",
-                    up,
-                    diam - 2 * i,
-                    ordering.eigenspaces[i],
-                    ordering.eigenspaces[diam - i],
-                    i,
-                )
-            )
-            checks.append(
-                (
-                    f"{label} down",
-                    down,
-                    diam - 2 * i,
-                    ordering.eigenspaces[diam - i],
-                    ordering.eigenspaces[i],
-                    i,
-                )
-            )
-    witnesses, bad = _bijection_checks(checks)
-    if bad is not None:
-        return bad
-    if not (d == dd == ddd):
-        raise RuntimeError(
-            "triple verified with unequal diameters; this contradicts a theorem, "
-            "so the verifier itself is broken"
-        )
-    shape = _shape_from_orderings(orderings, d)
-    return TripleCertificate(
-        diameter=d,
-        orderings=tuple(orderings),
-        sequences=tuple(o.eigenvalues for o in orderings),
-        shape=shape,
-        thin=all(r == 1 for r in shape),
-        bijection_witnesses=witnesses,
-        matrices=(a, a_prime, a_dprime),
-    )
+    return _verify(_TRIPLE, (a, a_prime, a_dprime))
 
 
 def verify_bd_triad(
@@ -543,88 +454,7 @@ def verify_bd_triad(
     hold vacuously, and off dimension 1 that degenerate structure carries
     none of the triad's content (clause `degenerate`).
     """
-    bad = _input_check([a, a_prime, a_dprime])
-    if bad is not None:
-        return bad
-    decomps, bad = _decompose_all([a, a_prime, a_dprime], _TRIAD_LABELS)
-    if bad is not None:
-        return bad
-    return _verify_bd_triad_decomposed((a, a_prime, a_dprime), decomps)
-
-
-def _verify_bd_triad_decomposed(
-    matrices: Sequence[RMatrix], decomps: Sequence[EigenDecomposition]
-) -> TriadCertificate | Refutation:
-    """`verify_bd_triad` given the eigendecompositions of its three inputs.
-
-    The matrices must be square and of one size.  Callers that already hold
-    the decompositions, such as the corner re-certification of a module,
-    skip recomputing them; the certificate is the same either way.
-    """
-    for label, dec in zip(_TRIAD_LABELS, decomps):
-        bad = _not_diagonalizable(dec, label)
-        if bad is not None:
-            return bad
-    a, a_prime, a_dprime = matrices
-    plans = (
-        ("A", decomps[0], [a_prime, a_dprime]),
-        ("A'", decomps[1], [a_dprime, a]),
-        ("A''", decomps[2], [a, a_prime]),
-    )
-    orderings = []
-    for label, decomp, raising in plans:
-        result = _ordering_or_refutation(decomp, raising, (), label)
-        if isinstance(result, Refutation):
-            return result
-        orderings.append(result)
-    d, dd, ddd = (o.diameter for o in orderings)
-
-    if max(d, dd, ddd) == 0 and a.rows > 1:
-        return Refutation(
-            "degenerate",
-            f"all three transformations are scalar on a {a.rows}-dimensional "
-            "space; a diameter-0 triad is accepted only on dimension 1",
-        )
-
-    checks = []
-    plans_iii = (
-        ("A", orderings[0], d, a, a_prime, a_dprime),
-        ("A'", orderings[1], dd, a_prime, a_dprime, a),
-        ("A''", orderings[2], ddd, a_dprime, a, a_prime),
-    )
-    for label, ordering, diam, base, other1, other2 in plans_iii:
-        com1 = commutator(other1, base)
-        com2 = commutator(other2, base)
-        for i in range(diam // 2 + 1):
-            for tag, com in ((f"{label} via1", com1), (f"{label} via2", com2)):
-                checks.append(
-                    (
-                        tag,
-                        com,
-                        diam - 2 * i,
-                        ordering.eigenspaces[i],
-                        ordering.eigenspaces[diam - i],
-                        i,
-                    )
-                )
-    witnesses, bad = _bijection_checks(checks)
-    if bad is not None:
-        return bad
-    if not (d == dd == ddd):
-        raise RuntimeError(
-            "triad verified with unequal diameters; this contradicts a theorem, "
-            "so the verifier itself is broken"
-        )
-    shape = _shape_from_orderings(orderings, d)
-    return TriadCertificate(
-        diameter=d,
-        orderings=tuple(orderings),
-        sequences=tuple(o.eigenvalues for o in orderings),
-        shape=shape,
-        thin=all(r == 1 for r in shape),
-        bijection_witnesses=witnesses,
-        matrices=(a, a_prime, a_dprime),
-    )
+    return _verify(_TRIAD, (a, a_prime, a_dprime))
 
 
 def shape_of(cert: TriadCertificate) -> tuple[tuple[int, ...], bool]:

@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from triadtet.bdverify import OrderingSearchTooLarge, verify_bd_triad
+from triadtet.bdverify import Refutation, verify_bd_triad
 from triadtet.fixtures import fixture_counterexample, fixture_vd_triad
 from triadtet.io import (
     DocumentFormatError,
@@ -88,11 +88,22 @@ def _cert_human(cert) -> str:
     return "\n".join(lines)
 
 
-def _refused(args: argparse.Namespace, message: str) -> int:
+def _refutation_payload(payload: dict, failure: object) -> dict:
+    """`payload` plus the clause, transformation and index of a Refutation."""
+    if isinstance(failure, Refutation):
+        payload["clause"] = failure.clause
+        payload["transformation"] = failure.transformation
+        payload["index"] = failure.index
+    return payload
+
+
+def _refused(args: argparse.Namespace, failure: object) -> int:
+    """Report a Refutation or a refusing exception; exit code 1."""
     if args.json:
-        print(json.dumps({"verified": False, "refutation": message}, indent=1))
+        payload = {"verified": False, "refutation": str(failure)}
+        print(json.dumps(_refutation_payload(payload, failure), indent=1))
     else:
-        print(f"refuted: {message}")
+        print(f"refuted: {failure}")
     return 1
 
 
@@ -100,7 +111,7 @@ def cmd_triad_verify(args: argparse.Namespace) -> int:
     doc = load_triad(args.file)
     cert = verify_bd_triad(*doc.matrices())
     if not cert:
-        return _refused(args, str(cert))
+        return _refused(args, cert)
     _emit(args, _cert_payload(cert), _cert_human(cert))
     return 0
 
@@ -109,11 +120,11 @@ def cmd_triad_reduce(args: argparse.Namespace) -> int:
     doc = load_triad(args.file)
     cert = verify_bd_triad(*doc.matrices())
     if not cert:
-        return _refused(args, str(cert))
+        return _refused(args, cert)
     try:
         reduced, witnesses = reduce_triad(cert)
     except NoWitness as exc:
-        return _refused(args, str(exc))
+        return _refused(args, exc)
     labels = ("A", "Aprime", "Adprime")
     out_doc = TriadDocument(
         dim=doc.dim,
@@ -151,11 +162,11 @@ def cmd_triad_synthesize(args: argparse.Namespace) -> int:
     doc = load_triad(args.file)
     cert = verify_bd_triad(*doc.matrices())
     if not cert:
-        return _refused(args, str(cert))
+        return _refused(args, cert)
     try:
         result = synthesize_tet(cert, corner_assignment=args.corner)
     except SynthesisError as exc:
-        return _refused(args, str(exc))
+        return _refused(args, exc)
     module_doc = TetModuleDocument.from_module(result.module)
     save_tet_module(module_doc, args.output)
     payload = {
@@ -212,16 +223,12 @@ def cmd_tet_corners(args: argparse.Namespace) -> int:
         certs = corner_triads_are_bd_triads(module)
     except CornerTriadRefuted as exc:
         if args.json:
-            print(
-                json.dumps(
-                    {
-                        "verified": False,
-                        "vertex": exc.vertex,
-                        "refutation": str(exc.refutation),
-                    },
-                    indent=1,
-                )
-            )
+            payload = {
+                "verified": False,
+                "vertex": exc.vertex,
+                "refutation": str(exc.refutation),
+            }
+            print(json.dumps(_refutation_payload(payload, exc.refutation), indent=1))
         else:
             print(f"refuted at corner {exc.vertex}: {exc.refutation}")
         return 1
@@ -359,9 +366,6 @@ def main(argv=None) -> int:
         return 2
     except IrrationalSpectrum as exc:
         print(f"error: out of scope: {exc}", file=sys.stderr)
-        return 2
-    except OrderingSearchTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -238,6 +238,36 @@ def rref(m: RMatrix) -> tuple[RMatrix, int]:
     return RMatrix(rows), rank
 
 
+def basis_coordinates(
+    basis: RMatrix, images: Sequence[RMatrix]
+) -> list[RMatrix] | None:
+    """Coordinates of every column of `images` in the columns of `basis`.
+
+    The columns of `basis` must be linearly independent.  One row reduction
+    of [basis | images[0] | images[1] | ...] leaves [I | C_0 | C_1 | ...] in
+    its top rows: column c of C_t holds the coordinates of column c of
+    images[t], so a square `basis` P and images X P give C = P^-1 X P.
+    Returns None when some image column lies outside the span of `basis`.
+    """
+    m = basis.cols
+    reduced, rank = rref(
+        RMatrix(
+            [
+                basis[r] + sum((y[r] for y in images), ())
+                for r in range(basis.rows)
+            ]
+        )
+    )
+    if rank > m:
+        return None
+    blocks = []
+    start = m
+    for y in images:
+        blocks.append(RMatrix([reduced[r][start : start + y.cols] for r in range(m)]))
+        start += y.cols
+    return blocks
+
+
 def kernel_basis(m: RMatrix) -> "Subspace":
     """Null space of a matrix, as a canonical subspace of Q^cols."""
     reduced, rank = rref(m)

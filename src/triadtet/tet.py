@@ -18,16 +18,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from triadtet.bdverify import TriadCertificate, _verify_bd_triad_decomposed
+from triadtet.bdverify import _TRIAD, TriadCertificate, _verify
 from triadtet.linalg import (
     EigenDecomposition,
     EigenPair,
     IrrationalSpectrum,
     RMatrix,
+    basis_coordinates,
     commutator,
     eigen_decompose,
     generated_algebra_dimension,
-    rref,
 )
 from triadtet.sl2 import EquitableTriple
 
@@ -297,16 +297,14 @@ def _support_strongly_connected(
     """
     n = module.dim
     p = RMatrix([pair.eigenspace.basis[0] for pair in decomp.pairs]).transpose()
-    blocks = [module.gen(*e) * p for e in CANONICAL_EDGES if e != edge]
-    reduced, _ = rref(
-        RMatrix([p[r] + sum((y[r] for y in blocks), ()) for r in range(n)])
+    blocks = basis_coordinates(
+        p, [module.gen(*e) * p for e in CANONICAL_EDGES if e != edge]
     )
     succ = [[] for _ in range(n)]
     pred = [[] for _ in range(n)]
     for j in range(n):
-        row = reduced[j]
         for i in range(n):
-            if i != j and any(row[n * k + i] for k in range(1, len(blocks) + 1)):
+            if i != j and any(c[j][i] for c in blocks):
                 succ[i].append(j)
                 pred[j].append(i)
 
@@ -336,7 +334,7 @@ def corner_triads_are_bd_triads(
     certificates = []
     for u in VERTICES:
         decomps = [module._decomposition(v, u) for v in VERTICES if v != u]
-        result = _verify_bd_triad_decomposed(corner_triad(module, u), decomps)
+        result = _verify(_TRIAD, corner_triad(module, u), decomps)
         if not result:
             raise CornerTriadRefuted(u, result)
         if not result.reduced:

@@ -228,3 +228,21 @@ def test_criterion_7_refutations_and_failed_synthesis():
         }
     )
     assert not tt.verify_tet_relations(candidate).passed
+
+
+@pytest.mark.parametrize("d", [9, 12, 16])
+def test_criterion_8_vd_family_certifies_at_every_diameter(d):
+    """No size cap refuses V_d: it verifies and reduces past d = 8."""
+    cert = tt.verify_bd_triad(*tt.fixture_vd_triad(d, 1, 2).matrices())
+    assert isinstance(cert, tt.TriadCertificate), cert
+    reduced, _ = tt.reduce_triad(cert)
+    assert reduced.thin and reduced.reduced
+    assert reduced.diameter == d
+
+
+def test_criterion_8_d12_module_passes_the_relations():
+    """The d = 12 pipeline synthesizes a module with all 54 relations."""
+    doc = tt.fixture_vd_triad(12, 1, 2)
+    result = tt.synthesize_tet(tt.verify_bd_triad(*doc.matrices()))
+    assert result.report.passed
+    assert result.algebra_dimension == 169

@@ -6,10 +6,11 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import triadtet as tt
 from triadtet import RMatrix, Subspace
+from triadtet.bdverify import _standard_ordering
 
 small_rationals = st.fractions(
     min_value=Fraction(-4), max_value=Fraction(4), max_denominator=4
@@ -45,35 +46,125 @@ def test_find_ordering_ambiguous_with_zero_actor():
         tt.find_standard_ordering(decomp, [RMatrix.zero(3)])
 
 
-def test_find_ordering_search_limit():
+def test_find_ordering_ten_free_eigenspaces_is_ambiguous():
+    """A zero actor forces no edge, so all 10! orderings are admissible."""
     decomp = tt.eigen_decompose(RMatrix.diagonal(list(range(10))))
-    with pytest.raises(tt.OrderingSearchTooLarge):
+    with pytest.raises(tt.AmbiguousOrdering):
         tt.find_standard_ordering(decomp, [RMatrix.zero(10)])
 
 
-def _image(x: RMatrix, space: Subspace) -> Subspace:
-    return Subspace.from_vectors(x.rows, [x.apply(v) for v in space.basis])
+def _inverse(p: RMatrix) -> RMatrix:
+    n = p.rows
+    reduced, _ = tt.rref(RMatrix([p[r] + RMatrix.identity(n)[r] for r in range(n)]))
+    return RMatrix([reduced[r][n:] for r in range(n)])
 
 
-def test_ordering_unique_by_brute_force(d2_cert):
-    """Exhaustive cross-check: only one eigenspace order admits the containments."""
-    a, a_prime, a_dprime = d2_cert.matrices
-    decomp = tt.eigen_decompose(a_dprime)
+_SPARSE = st.sampled_from((0, 0, 0, 1, -1, 2))
+_SMALL = st.sampled_from((0, 1, -1, 2, Fraction(1, 2)))
+_UNIT = st.sampled_from((1, -1, 2, Fraction(-1, 3)))
+
+
+@st.composite
+def ordering_problems(draw):
+    """A primary with at most 5 eigenspaces, some 2-dimensional, and actors.
+
+    In the eigenbasis the raising and lowering actors mostly step along a
+    hidden chain of the eigenspaces, with sparse entries and up to two
+    stray entries anywhere; everything is then conjugated by a random
+    invertible rational P = L U.
+    """
+    k = draw(st.integers(1, 5))
+    dims = draw(st.lists(st.integers(1, 2), min_size=k, max_size=k))
+    values = draw(st.permutations(range(-2, 3)))[:k]
+    chain = draw(st.permutations(range(k)))
+    block = [u for u in range(k) for _ in range(dims[u])]
+    n = len(block)
+    position = {u: i for i, u in enumerate(chain)}
+
+    def actor(step: int) -> RMatrix:
+        entries = [[0] * n for _ in range(n)]
+        for c, u in enumerate(block):
+            for r, w in enumerate(block):
+                if position[w] - position[u] in (0, step):
+                    entries[r][c] = draw(_SPARSE)
+        for _ in range(draw(st.integers(0, 2))):
+            r, c = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            entries[r][c] = 1
+        return RMatrix(entries)
+
+    raising = [actor(1) for _ in range(draw(st.integers(0, 2)))]
+    lowering = [actor(-1) for _ in range(draw(st.integers(0, 2)))]
+    lower = [[int(r == c) for c in range(n)] for r in range(n)]
+    upper = [[0] * n for _ in range(n)]
+    for r in range(n):
+        upper[r][r] = draw(_UNIT)
+        for c in range(r + 1, n):
+            lower[c][r] = draw(_SMALL)
+            upper[r][c] = draw(_SMALL)
+    p = RMatrix(lower) * RMatrix(upper)
+    p_inv = _inverse(p)
+
+    def conj(x: RMatrix) -> RMatrix:
+        return p * x * p_inv
+
+    primary = conj(RMatrix.diagonal([values[u] for u in block]))
+    return (
+        tt.eigen_decompose(primary),
+        [conj(x) for x in raising],
+        [conj(y) for y in lowering],
+    )
+
+
+def _brute_force_outcome(decomp, raising, lowering):
+    """Reference: try every permutation with explicit subspace sums."""
     spaces = decomp.eigenspaces
+    k = len(spaces)
+    n = spaces[0].ambient_dim
+    sums = {(u, w): spaces[u] + spaces[w] for u in range(k) for w in range(k)}
+
+    def image(x: RMatrix, u: int) -> Subspace:
+        return Subspace.from_vectors(n, [x.apply(v) for v in spaces[u].basis])
+
+    up = [[image(x, u) for u in range(k)] for x in raising]
+    down = [[image(y, u) for u in range(k)] for y in lowering]
     admissible = []
-    for perm in itertools.permutations(range(3)):
-        ordered = [spaces[i] for i in perm]
-        ok = True
-        for actor in (a, a_prime):
-            for i, u in enumerate(ordered):
-                target = u if i == 2 else u + ordered[i + 1]
-                if not target.contains_subspace(_image(actor, u)):
-                    ok = False
-        if ok:
+    for perm in itertools.permutations(range(k)):
+        ahead = [sums[(u, w)] for u, w in zip(perm, perm[1:])] + [spaces[perm[-1]]]
+        behind = [spaces[perm[0]]] + [sums[(v, u)] for v, u in zip(perm, perm[1:])]
+        steps = list(enumerate(perm))
+        if all(
+            ahead[i].contains_subspace(imgs[u]) for imgs in up for i, u in steps
+        ) and all(
+            behind[i].contains_subspace(imgs[u]) for imgs in down for i, u in steps
+        ):
             admissible.append(perm)
-    assert len(admissible) == 1
-    found = tt.find_standard_ordering(decomp, [a, a_prime])
-    assert tuple(found.eigenspaces) == tuple(spaces[i] for i in admissible[0])
+    if not admissible:
+        return "none"
+    if len(admissible) > 1:
+        return "ambiguous"
+    return tuple(spaces[u] for u in admissible[0])
+
+
+# a forced path 0 -> 1 beside a forced cycle 2 -> 3 -> 2
+_PATH_AND_CYCLE = (
+    tt.eigen_decompose(RMatrix.diagonal([0, 1, 2, 3])),
+    [RMatrix([[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])],
+    [],
+)
+
+
+@given(ordering_problems())
+@example(_PATH_AND_CYCLE)
+def test_ordering_unique_by_brute_force(problem):
+    """The forced-edge rule agrees with an exhaustive search over orderings."""
+    decomp, raising, lowering = problem
+    try:
+        outcome = _standard_ordering(decomp, raising, lowering).eigenspaces
+    except tt.NoStandardOrdering:
+        outcome = "none"
+    except tt.AmbiguousOrdering:
+        outcome = "ambiguous"
+    assert outcome == _brute_force_outcome(decomp, raising, lowering)
 
 
 def test_pair_scalar_zero():

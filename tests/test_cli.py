@@ -56,6 +56,59 @@ def test_verify_refuted_exits_one(tmp_path, capsys):
     assert "refuted" in capsys.readouterr().out
 
 
+def test_refutation_json_carries_clause_transformation_index(tmp_path, capsys):
+    path = _write_fixture(tmp_path)
+    raw = json.loads(path.read_text())
+    raw["Aprime"] = raw["A"]
+    path.write_text(json.dumps(raw))
+    capsys.readouterr()
+    for verb in (["verify"], ["reduce", "-o", str(tmp_path / "r.json")]):
+        assert main(["triad", *verb, str(path), "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verified"] is False
+        assert payload["refutation"].startswith("refuted (bijection) [A] at index 0")
+        assert payload["clause"] == "bijection"
+        assert payload["transformation"] == "A"
+        assert payload["index"] == 0
+
+    module_path = tmp_path / "module.json"
+    path = _write_fixture(tmp_path)
+    assert main(["triad", "synthesize", str(path), "-o", str(module_path)]) == 0
+    raw = json.loads(module_path.read_text())
+    raw["X01"] = [["0"] * raw["dim"] for _ in range(raw["dim"])]
+    module_path.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert main(["tet", "corners", str(module_path), "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["vertex"] == 0
+    assert (payload["clause"], payload["transformation"], payload["index"]) == (
+        "bijection",
+        "A'",
+        0,
+    )
+
+
+def test_refusal_from_an_exception_has_no_clause_fields(tmp_path, capsys):
+    ce_dir = tmp_path / "ce"
+    assert main(["fixture", "counterexample", "-o", str(ce_dir)]) == 0
+    capsys.readouterr()
+    out_path = tmp_path / "module.json"
+    triad_path = str(ce_dir / "triad.json")
+    assert main(["triad", "synthesize", triad_path, "--json", "-o", str(out_path)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert set(payload) == {"verified", "refutation"}
+    assert "not thin" in payload["refutation"]
+
+
+def test_diameter_ten_fixture_verifies(tmp_path, capsys):
+    path = _write_fixture(tmp_path, d=10)
+    capsys.readouterr()
+    assert main(["triad", "verify", str(path), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["diameter"] == 10
+    assert payload["thin"] is True and payload["reduced"] is True
+
+
 def test_verify_missing_file_exits_two(tmp_path, capsys):
     assert main(["triad", "verify", str(tmp_path / "nope.json")]) == 2
     assert "error" in capsys.readouterr().err
