@@ -5,13 +5,16 @@ characteristic polynomials, rational eigendecompositions, restricted-power
 bijectivity witnesses, and a solver for simultaneous linear constraints on an
 unknown matrix.  Nothing here ever rounds: every entry is an
 arbitrary-precision rational and every equality test is exact.
+
+Rational eigenvalues come from `rational_roots`: integer Sturm bisection, no
+factoring, so the cost is polynomial in the degree and coefficient bit size.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -453,68 +456,40 @@ def char_poly(m: RMatrix) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
-def poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    """Evaluate a polynomial given highest-degree-first coefficients."""
-    acc = _ZERO
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
+def _negated_remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    # -(a mod b) times a positive integer, made primitive ([] when b | a):
+    # scaling by |lc(b)|, not lc(b), keeps the signs a Sturm sequence needs
+    r = list(a)
+    while len(r) >= len(b):
+        c = r[0] if b[0] > 0 else -r[0]
+        pairs = zip_longest(r[1:], b[1:], fillvalue=0)
+        r = [abs(b[0]) * x - c * y for x, y in pairs]
+        while r and not r[0]:
+            del r[0]
+    g = gcd(*r)
+    return [-x // g for x in r]
 
 
-def _deflate(coeffs: list[Fraction], root: Fraction) -> list[Fraction]:
-    # synthetic division by (x - root); caller guarantees root is exact
-    out = [coeffs[0]]
-    for c in coeffs[1:-1]:
-        out.append(out[-1] * root + c)
-    remainder = out[-1] * root + coeffs[-1]
-    if remainder:
-        raise AssertionError("deflation at a non-root")
-    return out
+def _divide(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], bool]:
+    # quotient of a by a primitive b, and whether b divides a; by Gauss's
+    # lemma b divides a in Z[x] exactly when it does in Q[x]
+    r, q = list(a), []
+    for i in range(len(a) - len(b) + 1):
+        q.append(r[i] // b[0])
+        for j, y in enumerate(b):
+            r[i + j] -= q[-1] * y
+    return q, not any(r)
 
 
-def _factorint(n: int) -> dict[int, int]:
-    """Prime factorization; trial division with a lazy sympy escalation.
-
-    After stripping all factors up to 10^4, a leftover below 10^8 has no
-    factor at or below its square root, hence is prime.  Anything larger is
-    handed to sympy.
-    """
-    n = abs(n)
-    if n <= 1:
-        return {}
-    factors: dict[int, int] = {}
-    for p in itertools.chain((2,), range(3, 10_001, 2)):
-        if p * p > n:
-            break
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    if n > 1:
-        if n < 10 ** 8:
-            factors[n] = factors.get(n, 0) + 1
-        else:
-            from sympy import factorint as sympy_factorint
-
-            for p, e in sympy_factorint(n).items():
-                factors[int(p)] = factors.get(int(p), 0) + int(e)
-    return factors
-
-
-def _divisors(n: int) -> list[int]:
-    divs = [1]
-    for p, e in _factorint(n).items():
-        divs = [d * p ** i for d in divs for i in range(e + 1)]
-    return divs
-
-
-def _int_poly_value_at(int_coeffs: Sequence[int], p: int, q: int) -> int:
-    # homogenized integer evaluation: q^deg * P(p/q)
-    acc = int_coeffs[0]
-    qq = 1
-    for c in int_coeffs[1:]:
-        qq *= q
-        acc = acc * p + c * qq
-    return acc
+def _sign_changes(chain: Sequence[Sequence[int]], y: int) -> int:
+    signs = []
+    for poly in chain:
+        v = 0
+        for c in poly:
+            v = v * y + c
+        if v:
+            signs.append(v > 0)
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
 def rational_roots(
@@ -523,9 +498,16 @@ def rational_roots(
     """All rational roots with multiplicity, plus the leftover degree.
 
     Returns (sorted list of (root, multiplicity), degree of the rootless
-    remaining factor).  Uses the rational root theorem on the primitive
-    integer form, with integer-only candidate filtering before any exact
-    polynomial evaluation.
+    remaining factor).  Nothing is factored.  Divided by its last term
+    gcd(P, P'), the primitive pseudo-remainder sequence of P and P' (P the
+    primitive integer form, zero roots stripped) is the Sturm sequence of
+    the squarefree part S.  y = lc(S) * x sends the rational roots of S to
+    the integer roots of a monic integer T, all below the Fujiwara bound
+    2^(E+1), E = max_j ceil(bits(t_j) / j).  Integer bisection narrows each
+    interval holding a root to width 1, whose right end over lc(S) is
+    divided out of P exactly, once per multiplicity.  That is O(k E) Sturm
+    evaluations of O(k^2) integer operations at degree k: polynomial in the
+    bit size.
     """
     work = [Fraction(c) for c in coeffs]
     if not work or not work[0]:
@@ -537,34 +519,35 @@ def rational_roots(
     if len(work) == 1:
         return sorted(roots.items()), 0
 
-    denom_lcm = 1
-    for c in work:
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in work]
-    content = 0
-    for c in ints:
-        content = gcd(content, c)
-    ints = [c // content for c in ints]
+    p = [c.numerator for c in _primitive(work)]
+    chain = [p, [c * i for c, i in zip(p, range(len(p) - 1, 0, -1))]]
+    while len(chain[-1]) > 1 and (r := _negated_remainder(chain[-2], chain[-1])):
+        chain.append(r)
+    g = [c.numerator for c in _primitive(chain[-1])]
+    chain = [_divide(q, g)[0] for q in chain]
+    a = chain[0][0]
+    chain = [[c * a**t for t, c in enumerate(q)] for q in chain]
+    e = max(-(-(c // a).bit_length() // j) for j, c in enumerate(chain[0]) if j)
 
-    p_at_1 = _int_poly_value_at(ints, 1, 1)
-    p_at_m1 = _int_poly_value_at(ints, -1, 1)
-    candidates: set[Fraction] = set()
-    for p in _divisors(ints[-1]):
-        for q in _divisors(ints[0]):
-            for cand_p in (p, -p):
-                if gcd(abs(cand_p), q) != 1:
-                    continue
-                # classical filters: (q - p) | P(1), (q + p) | P(-1)
-                if p_at_1 and (q - cand_p) and p_at_1 % (q - cand_p):
-                    continue
-                if p_at_m1 and (q + cand_p) and p_at_m1 % (q + cand_p):
-                    continue
-                candidates.add(Fraction(cand_p, q))
-    for cand in sorted(candidates):
-        while len(work) > 1 and poly_eval(work, cand) == 0:
-            roots[cand] = roots.get(cand, 0) + 1
-            work = _deflate(work, cand)
-    return sorted(roots.items()), len(work) - 1
+    stack = [(-(2 << e), 2 << e)]
+    changes = {y: _sign_changes(chain, y) for y in stack[0]}
+    while stack:
+        lo, hi = stack.pop()
+        if changes[lo] == changes[hi]:
+            continue
+        if hi - lo > 1:
+            mid = (lo + hi) // 2
+            changes[mid] = _sign_changes(chain, mid)
+            stack += [(lo, mid), (mid, hi)]
+            continue
+        root = Fraction(hi, a)
+        factor = (root.denominator, -root.numerator)
+        quotient, exact = _divide(p, factor)
+        while exact:
+            roots[root] = roots.get(root, 0) + 1
+            p = quotient
+            quotient, exact = _divide(p, factor)
+    return sorted(roots.items()), len(p) - 1
 
 
 @dataclass(frozen=True)

@@ -60,3 +60,11 @@ def d3_synthesis():
     cert = tt.verify_bd_triad(*doc.matrices())
     assert cert
     return tt.synthesize_tet(cert)
+
+
+@pytest.fixture(scope="session")
+def shifted_v8_doc():
+    # eigenvalues 746122..746138: each numerator has many divisors
+    doc = tt.fixture_vd_triad(8, 1, 2)
+    shift = 746130 * tt.RMatrix.identity(9)
+    return tt.TriadDocument(9, *(m + shift for m in doc.matrices()))

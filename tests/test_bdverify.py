@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -216,6 +221,39 @@ def test_triad_counterexample(counterexample_cert):
     assert cert.dimension == 6
     for seq in cert.sequences:
         assert seq == (-3, -1, 1, 3)
+
+
+def test_triad_shifted_by_composite_constant_is_fast(shifted_v8_doc):
+    start = time.monotonic()
+    cert = tt.verify_bd_triad(*shifted_v8_doc.matrices())
+    assert time.monotonic() - start < 2.0
+    assert cert
+    assert cert.diameter == 8
+    assert cert.thin
+    assert not cert.reduced
+    shifted = tuple(Fraction(746130 + 2 * i - 8) for i in range(9))
+    assert cert.sequences == (shifted,) * 3
+
+
+def test_verification_imports_no_sympy():
+    code = (
+        "import sys\n"
+        "import triadtet as tt\n"
+        "doc = tt.fixture_vd_triad(8, 1, 2)\n"
+        "shift = 746130 * tt.RMatrix.identity(9)\n"
+        "assert tt.verify_bd_triad(*(m + shift for m in doc.matrices()))\n"
+        "assert 'sympy' not in sys.modules, sorted(sys.modules)\n"
+    )
+    src_dir = str(Path(tt.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_triad_d1_fixture(d1_cert):

@@ -47,6 +47,16 @@ def test_verify_json_output(tmp_path, capsys):
     assert payload["eigenvalues"][0] == ["-2", "0", "2"]
 
 
+def test_verify_json_shifted_triad(tmp_path, capsys, shifted_v8_doc):
+    path = tmp_path / "shifted.json"
+    tt.save_triad(shifted_v8_doc, path)
+    assert main(["triad", "verify", str(path), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verified"] is True
+    assert payload["diameter"] == 8
+    assert payload["eigenvalues"][0][0] == "746122"
+
+
 def test_verify_refuted_exits_one(tmp_path, capsys):
     path = _write_fixture(tmp_path)
     raw = json.loads(path.read_text())

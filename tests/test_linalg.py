@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import triadtet as tt
 from triadtet import RMatrix, Subspace
@@ -158,6 +160,91 @@ def test_rational_roots_zero_root():
     roots, leftover = tt.rational_roots((Fraction(1), Fraction(0), Fraction(0)))
     assert roots == [(Fraction(0), 2)]
     assert leftover == 0
+
+
+def _trial_divisors(n):
+    n = abs(n)
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in small]
+
+
+def _horner(coeffs, x):
+    acc = Fraction(0)
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
+
+
+def _divisor_pair_roots(coeffs):
+    """Reference: try p/q for every p | a_0 and q | a_n, then deflate."""
+    work = list(coeffs)
+    roots = {}
+    while len(work) > 1 and not work[-1]:
+        roots[Fraction(0)] = roots.get(Fraction(0), 0) + 1
+        work.pop()
+    scale = math.lcm(*(c.denominator for c in work))
+    ints = [int(c * scale) for c in work]
+    for p in _trial_divisors(ints[-1]):
+        for q in _trial_divisors(ints[0]):
+            for cand in (Fraction(p, q), Fraction(-p, q)):
+                while len(work) > 1 and _horner(work, cand) == 0:
+                    roots[cand] = roots.get(cand, 0) + 1
+                    quotient = [work[0]]
+                    for c in work[1:-1]:
+                        quotient.append(quotient[-1] * cand + c)
+                    work = quotient
+    return sorted(roots.items()), len(work) - 1
+
+
+@st.composite
+def split_times_irreducible(draw):
+    """scale * x^z * prod (q x - p)^m * prod (x^2 - k), k not a square."""
+    poly = (draw(st.fractions(-7, 7, max_denominator=5).filter(bool)),)
+    for _ in range(draw(st.integers(0, 2))):
+        poly = _poly_mul(poly, (Fraction(1), Fraction(0)))
+    linear = st.tuples(st.integers(1, 3), st.integers(-5, 5), st.integers(1, 3))
+    for q, p, mult in draw(st.lists(linear, max_size=3)):
+        for _ in range(mult):
+            poly = _poly_mul(poly, (Fraction(q), Fraction(-p)))
+    non_square = st.integers(-5, 12).filter(
+        lambda k: k < 0 or math.isqrt(k) ** 2 != k
+    )
+    for k in draw(st.lists(non_square, max_size=2)):
+        poly = _poly_mul(poly, (Fraction(1), Fraction(0), Fraction(-k)))
+    return poly
+
+
+# -5/3 * (2x - 3)^3 * (x^2 - 2): a triple root beside an irrational pair
+_TRIPLE_BESIDE_PAIR = _poly_mul(
+    (Fraction(-5, 3),), _poly_mul((8, -36, 54, -27), (1, 0, -2))
+)
+
+
+@example(_TRIPLE_BESIDE_PAIR)
+@given(split_times_irreducible())
+def test_rational_roots_match_divisor_pair_reference(poly):
+    assert tt.rational_roots(poly) == _divisor_pair_roots(poly)
+
+
+_PRIMORIALS = (2, 6, 30, 210, 2310, 30030)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        tuple(Fraction(p) for p in _PRIMORIALS),
+        # p / (p^2 - 1): the leading coefficient gains divisors as well
+        tuple(Fraction(p, p * p - 1) for p in _PRIMORIALS),
+    ],
+    ids=["primorials", "primorials_over_p2_minus_1"],
+)
+def test_eigen_decompose_primorial_diagonal_is_fast(values):
+    # the constant term has 5040 divisors, one per candidate numerator
+    start = time.monotonic()
+    decomp = tt.eigen_decompose(RMatrix.diagonal(values))
+    assert time.monotonic() - start < 2.0
+    assert decomp.diagonalizable
+    assert decomp.eigenvalues == tuple(sorted(values))
 
 
 def test_eigen_decompose_diagonal():
