@@ -2,15 +2,21 @@
 
 Given a certified thin reduced bidiagonal triad (A, A', A''), the pipeline
 extracts the raising maps R = A - A'' and r = A' - A'' with the
-proportionality scalar c and a = 1 - 1/c, solves the bracket constraints
-[A'', B] = 2A'' - 2B and [B, A'] = 2B + 2A' for B, forms
+proportionality scalar c and a = 1 - 1/c, and builds the fourth generator
+B in the thin normal basis.  Let v_0 be the canonical vector of the bottom
+A''-eigenspace and v_{k+1} = R v_k / (k+1); in Q = [v_0 ... v_d] the triad
+is A'' = -h, A = -h + f, A' = -h + c f with h, e, f the weight-basis sl2
+action of `make_vd(d)`, and the bracket constraints
+[A'', B] = 2A'' - 2B and [B, A'] = 2B + 2A' are solved by the closed form
+B = Q (-h - (4/c) e) Q^-1.  Then
 B'  = (1/a - 1)^(-1) A'' + (a - 1)^(-1) B and
-B'' = (1 - 1/a) A' - (1/a) B, proves the expected linear and bracket
-identities, assembles the six matrices onto the edges of a corner, and
-verifies the resulting module end to end: all 54 relations (from 18
+B'' = (1 - 1/a) A' - (1/a) B, the nine bracket identities tying the six
+maps together are proved, the six matrices are assembled onto the edges of
+a corner, and the module is verified end to end: all 54 relations (from 18
 distinct brackets), ladder spectra, irreducibility (an exact Burnside test,
 since every generator has a simple spectrum), and re-certification of all
-four corner triads, with each generator decomposed once for all of them.
+four corner triads.  The module starts with the certificate's
+eigenspaces of A, A' and A'', so only B, B' and B'' are decomposed.
 
 B is unique.  A solution H of the homogeneous constraints commutes with
 r = A' - A'', which is regular nilpotent on a thin triad, so
@@ -23,14 +29,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from triadtet.bdverify import TriadCertificate, verify_bd_triple
+from triadtet.bdverify import StandardOrdering, TriadCertificate
 from triadtet.linalg import (
+    EigenDecomposition,
+    EigenPair,
     RMatrix,
+    basis_coordinates,
     commutator,
-    eigen_decompose,
     restricted_power_bijective,
-    solve_linear_matrix_system,
 )
+from triadtet.sl2 import make_vd
 from triadtet.tet import (
     RelationReport,
     TetModule,
@@ -48,14 +56,6 @@ class SynthesisError(ValueError):
 
 class DegenerateDiameter(SynthesisError):
     """Raising maps are undefined at diameter 0 (R = r = 0)."""
-
-
-class AmbiguousSolution(SynthesisError):
-    """The bracket constraints on B leave freedom.
-
-    Kept for callers that catch it; B is unique on every certified thin
-    reduced triad, so synthesis never raises it.
-    """
 
 
 class IdentityViolation(SynthesisError):
@@ -175,63 +175,52 @@ def raising_maps(cert: TriadCertificate) -> RaisingData:
     return RaisingData(R=big_r, r=small_r, c=c, a=a)
 
 
-def _b_is_valid(cert: TriadCertificate, candidate: RMatrix) -> bool:
-    d = cert.diameter
-    target = tuple(Fraction(2 * i - d) for i in range(d + 1))
-    try:
-        decomp = eigen_decompose(candidate)
-    except ValueError:
-        return False
-    if not decomp.diagonalizable or decomp.eigenvalues != target:
-        return False
-    _, ap_mat, app_mat = cert.matrices
-    triple = verify_bd_triple(ap_mat, -app_mat, candidate)
-    if not triple:
-        return False
-    return all(seq == target for seq in triple.sequences)
+def _solve_b(cert: TriadCertificate, rd: RaisingData | None) -> RMatrix:
+    """B from its closed form -h - (4/c) e in the thin normal basis Q.
 
-
-def _solve_b(cert: TriadCertificate) -> RMatrix:
-    """The unique B solving the bracket constraints, checked spectrally.
-
-    A nonempty homogeneous solution space contradicts the uniqueness proof
-    in the module docstring and raises RuntimeError.
+    B = Q B_0 Q^-1 comes out of one row reduction: the coordinates of the
+    columns of (Q B_0)^T = B_0^T Q^T in the columns of Q^T are B^T.
     """
-    _, ap_mat, app_mat = cert.matrices
-    particular, homogeneous = solve_linear_matrix_system(
-        cert.dimension,
-        [
-            (lambda b: commutator(app_mat, b) + 2 * b, 2 * app_mat),
-            (lambda b: commutator(b, ap_mat) - 2 * b, 2 * ap_mat),
-        ],
-    )
-    if homogeneous:
-        raise RuntimeError(
-            f"bracket constraints on B left a {len(homogeneous)}-dimensional "
-            "homogeneous solution space; this contradicts a theorem, so the "
-            "solver itself is broken"
-        )
-    if not _b_is_valid(cert, particular):
-        raise SynthesisError(
-            "the unique solution of the bracket constraints fails its "
-            "spectral or bidiagonal-triple requirements"
-        )
-    return particular
+    d = cert.diameter
+    if d == 0:
+        return RMatrix.zero(1)
+    v = cert.orderings[2].eigenspaces[0].basis[0]
+    rows = [v]
+    for k in range(1, d + 1):
+        v = tuple(x / k for x in rd.R.apply(v))
+        # the v_k lie in distinct eigenspaces of A'', so Q is invertible
+        # exactly when none of them vanishes
+        if not any(v):
+            raise RuntimeError(
+                f"the thin normal basis is singular at v_{k}; this "
+                "contradicts a theorem, so raising_maps itself is broken"
+            )
+        rows.append(v)
+    q_t = RMatrix(rows)
+    action = make_vd(d)
+    b0 = -action.h - (4 / rd.c) * action.e
+    (b_t,) = basis_coordinates(q_t, [b0.transpose() * q_t])
+    return b_t.transpose()
 
 
 def construct_B(cert: TriadCertificate, rd: RaisingData | None = None) -> RMatrix:
-    """The transformation completing (A', -A'', B) to a reduced thin triple.
+    """The unique B with [A'', B] = 2A'' - 2B and [B, A'] = 2B + 2A'.
 
-    `rd` documents the precondition at diameter >= 1 and may be None only at
-    diameter 0 (where the constraints force B = 0 on a 1-dimensional space).
-    The result is verified: (A', -A'', B) certifies as a bidiagonal triple
-    with all three eigenvalue sequences canonical, and B is diagonalizable
-    with spectrum {2i - d}.
+    In the thin normal basis Q = [v_0 ... v_d], v_0 the canonical vector of
+    the bottom A''-eigenspace and v_{k+1} = R v_k / (k+1), the triad reads
+    A'' = -h, A = -h + f, A' = -h + c f, and B = -h - (4/c) e satisfies
+    both constraints, so B = Q (-h - (4/c) e) Q^-1 costs d matrix-vector
+    products and one row reduction.  `rd` must come from
+    `raising_maps(cert)` and may be None only at diameter 0 (where the
+    constraints force B = 0 on a 1-dimensional space).  Uniqueness is
+    proved in the module docstring; `construct_B_prime_dprime` checks both
+    constraints exactly, and the result completes (A', -A'', B) to a
+    reduced thin bidiagonal triple.
     """
     _require_thin_reduced(cert)
     if cert.diameter >= 1 and rd is None:
         raise ValueError("raising data is required at diameter >= 1")
-    return _solve_b(cert)
+    return _solve_b(cert, rd)
 
 
 def construct_B_prime_dprime(
@@ -240,11 +229,13 @@ def construct_B_prime_dprime(
     """Form B' and B'' from B and prove the expected identities.
 
     B'  = (1/a - 1)^(-1) A'' + (a - 1)^(-1) B,
-    B'' = (1 - 1/a) A' - (1/a) B.  Verifies the ten linear correlations and
-    the nine bracket identities tying all six maps together; any failure
-    raises IdentityViolation naming the identity.  At diameter 0 all maps
-    are zero and the scalar a does not exist, so both results are zero and
-    the checks are vacuous.
+    B'' = (1 - 1/a) A' - (1/a) B.  Verifies the nine bracket identities
+    tying all six maps together; any failure raises IdentityViolation
+    naming the identity.  The ten linear correlations among the six maps
+    (such as A = (1-a)A' + aA'') follow from these two definitions and from
+    r = c R, which `raising_maps` checks, so they are not re-checked.  At
+    diameter 0 all maps are zero and the scalar a does not exist, so both
+    results are zero and the checks are vacuous.
     """
     _require_thin_reduced(cert)
     a_mat, ap_mat, app_mat = cert.matrices
@@ -261,34 +252,6 @@ def construct_B_prime_dprime(
     bp = (1 / (inv_a - 1)) * app_mat + (1 / (a - 1)) * b
     bpp = (1 - inv_a) * ap_mat - inv_a * b
 
-    linear = (
-        ("A = (1-a)A' + aA''", a_mat, (1 - a) * ap_mat + a * app_mat),
-        (
-            "A' = (1-1/a)^(-1)A'' + (1-a)^(-1)A",
-            ap_mat,
-            (1 / (1 - inv_a)) * app_mat + (1 / (1 - a)) * a_mat,
-        ),
-        ("A'' = (1/a)A + (1-1/a)A'", app_mat, inv_a * a_mat + (1 - inv_a) * ap_mat),
-        ("B = (a-1)B' + aA''", b, (a - 1) * bp + a * app_mat),
-        ("A'' = (1/a)B + (1/a-1)B'", app_mat, inv_a * b + (inv_a - 1) * bp),
-        ("B = -aB'' + (a-1)A'", b, -a * bpp + (a - 1) * ap_mat),
-        (
-            "A' = (a-1)^(-1)B + (1-1/a)^(-1)B''",
-            ap_mat,
-            (1 / (a - 1)) * b + (1 / (1 - inv_a)) * bpp,
-        ),
-        ("A = (1-a)B' - aB''", a_mat, (1 - a) * bp - a * bpp),
-        (
-            "B' = (1/a-1)^(-1)B'' + (1-a)^(-1)A",
-            bp,
-            (1 / (inv_a - 1)) * bpp + (1 / (1 - a)) * a_mat,
-        ),
-        ("B'' = -(1/a)A + (1/a-1)B'", bpp, -inv_a * a_mat + (inv_a - 1) * bp),
-    )
-    for name, lhs, rhs in linear:
-        if lhs != rhs:
-            raise IdentityViolation(f"linear identity failed: {name}")
-
     brackets = (
         ("[A'',B] = 2A''-2B", app_mat, b, 2 * app_mat - 2 * b),
         ("[B,A'] = 2B+2A'", b, ap_mat, 2 * b + 2 * ap_mat),
@@ -304,6 +267,17 @@ def construct_B_prime_dprime(
         if commutator(x, y) != rhs:
             raise IdentityViolation(f"bracket identity failed: {name}")
     return bp, bpp
+
+
+def _decomposition_of(ordering: StandardOrdering) -> EigenDecomposition:
+    """The eigendecomposition a certified standard ordering already holds."""
+    pairs = sorted(
+        zip(ordering.eigenvalues, ordering.eigenspaces), key=lambda p: p[0]
+    )
+    return EigenDecomposition(
+        tuple(EigenPair(value, space.dim, space) for value, space in pairs),
+        True,
+    )
 
 
 def synthesize_tet(
@@ -327,7 +301,7 @@ def synthesize_tet(
         )
     d = cert.diameter
     rd = raising_maps(cert) if d >= 1 else None
-    b = _solve_b(cert)
+    b = _solve_b(cert, rd)
     bp, bpp = construct_B_prime_dprime(cert, rd, b)
     a_mat, ap_mat, app_mat = cert.matrices
     r_v, s_v, t_v, u_v = corner_assignment
@@ -341,6 +315,10 @@ def synthesize_tet(
             (s_v, r_v): bpp,
         }
     )
+    for (i, j), ordering in zip(
+        ((r_v, u_v), (s_v, u_v), (t_v, u_v)), cert.orderings
+    ):
+        module._seed_decomposition(i, j, _decomposition_of(ordering))
     report = verify_tet_relations(module)
     if not report.passed:
         first = report.violations[0][0]

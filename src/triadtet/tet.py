@@ -49,6 +49,17 @@ class CornerTriadRefuted(ValueError):
         super().__init__(f"corner triad at vertex {vertex}: {refutation}")
 
 
+def _negated(dec: EigenDecomposition) -> EigenDecomposition:
+    """-X from X: the same eigenspaces, eigenvalues negated and reversed."""
+    return EigenDecomposition(
+        tuple(
+            EigenPair(-p.value, p.algebraic_multiplicity, p.eigenspace)
+            for p in reversed(dec.pairs)
+        ),
+        dec.diagonalizable,
+    )
+
+
 class TetModule:
     """Twelve generator matrices with antisymmetry built in.
 
@@ -112,15 +123,16 @@ class TetModule:
         dec = self._eigen.get(key)
         if dec is None:
             dec = self._eigen[key] = eigen_decompose(self._gens[key])
-        if i < j:
-            return dec
-        return EigenDecomposition(
-            tuple(
-                EigenPair(-p.value, p.algebraic_multiplicity, p.eigenspace)
-                for p in reversed(dec.pairs)
-            ),
-            dec.diagonalizable,
-        )
+        return dec if i < j else _negated(dec)
+
+    def _seed_decomposition(self, i: int, j: int, dec: EigenDecomposition) -> None:
+        """Take a known eigendecomposition of X_ij, so it is never recomputed.
+
+        `dec` must list the eigenvalues of X_ij ascending, as
+        eigen_decompose does.
+        """
+        key = (i, j) if i < j else (j, i)
+        self._eigen[key] = dec if i < j else _negated(dec)
 
     @property
     def gens(self) -> dict[tuple[int, int], RMatrix]:

@@ -36,6 +36,19 @@ def test_vd_fixture_d2_lower_triangular():
     assert cert.thin and cert.reduced and cert.diameter == 2
 
 
+_NONZERO = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
+
+
+@given(
+    st.integers(0, 6),
+    st.tuples(_NONZERO, _NONZERO).filter(lambda bg: bg[0] != bg[1]),
+)
+def test_vd_fixture_certifies_thin_and_reduced(d, beta_gamma):
+    """The fixture returns its triad unverified; it always certifies."""
+    cert = tt.verify_bd_triad(*tt.fixture_vd_triad(d, *beta_gamma).matrices())
+    assert cert and cert.thin and cert.reduced and cert.diameter == d
+
+
 def test_vd_fixture_rejects_bad_parameters():
     with pytest.raises(ValueError):
         tt.fixture_vd_triad(1, 0, 2)

@@ -2,12 +2,52 @@
 
 from __future__ import annotations
 
+import itertools
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import triadtet as tt
 from triadtet import RMatrix
+from triadtet.tet import CANONICAL_EDGES
+
+from reference import solve_b_reference
+
+_NONZERO = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
+_SMALL = st.sampled_from((0, 1, -1, 2, Fraction(1, 2)))
+_UNIT = st.sampled_from((1, -1, 2, Fraction(-1, 3)))
+
+
+@st.composite
+def vd_params(draw, max_d):
+    """(d, beta, gamma) with 0 <= d <= max_d and beta, gamma nonzero, distinct."""
+    beta = draw(_NONZERO)
+    gamma = draw(_NONZERO.filter(lambda g: g != beta))
+    return draw(st.integers(0, max_d)), beta, gamma
+
+
+@st.composite
+def invertible(draw, n):
+    """A dense invertible rational P = L U and its inverse."""
+    lower = [[int(r == c) for c in range(n)] for r in range(n)]
+    upper = [[0] * n for _ in range(n)]
+    for r in range(n):
+        upper[r][r] = draw(_UNIT)
+        for c in range(r + 1, n):
+            lower[c][r] = draw(_SMALL)
+            upper[r][c] = draw(_SMALL)
+    p = RMatrix(lower) * RMatrix(upper)
+    eye = RMatrix.identity(n)
+    reduced, _ = tt.rref(RMatrix([p[i] + eye[i] for i in range(n)]))
+    return p, RMatrix([row[n:] for row in reduced])
+
+
+def _certified(matrices):
+    cert = tt.verify_bd_triad(*matrices)
+    assert cert
+    return cert
 
 
 def test_raising_maps_d1_values(d1_cert):
@@ -183,3 +223,79 @@ def test_synthesized_module_dolan_grady_lemma_instances(d2_synthesis):
     ):
         xy = tt.commutator(x, y)
         assert tt.commutator(x, tt.commutator(x, xy)) == 4 * xy
+
+
+# -- the closed-form B against the full solve ----------------------------------
+
+@given(vd_params(6))
+def test_closed_form_b_equals_solved_b_on_vd(params):
+    d, beta, gamma = params
+    cert = _certified(tt.fixture_vd_triad(d, beta, gamma).matrices())
+    rd = tt.raising_maps(cert) if d else None
+    assert tt.construct_B(cert, rd) == solve_b_reference(cert)
+
+
+@settings(max_examples=25)
+@given(
+    vd_params(4).flatmap(
+        lambda p: st.tuples(
+            st.just(p),
+            invertible(p[0] + 1),
+            st.lists(st.tuples(_NONZERO, _SMALL), min_size=3, max_size=3),
+        )
+    )
+)
+def test_closed_form_b_equals_solved_b_on_reduced_dense_conjugates(args):
+    """P^-1 T P with an affine shift per matrix, reduced, then both ways."""
+    (d, beta, gamma), (p, p_inv), shifts = args
+    eye = RMatrix.identity(d + 1)
+    matrices = [
+        scale * (p_inv * m * p) + shift * eye
+        for m, (scale, shift) in zip(
+            tt.fixture_vd_triad(d, beta, gamma).matrices(), shifts
+        )
+    ]
+    reduced, _ = tt.reduce_triad(_certified(matrices))
+    rd = tt.raising_maps(reduced) if d else None
+    assert tt.construct_B(reduced, rd) == solve_b_reference(reduced)
+
+
+@settings(max_examples=20)
+@given(vd_params(4).flatmap(lambda p: st.tuples(st.just(p), invertible(p[0] + 1))))
+def test_synthesis_commutes_with_a_change_of_basis(args):
+    (d, beta, gamma), (p, p_inv) = args
+    doc = tt.fixture_vd_triad(d, beta, gamma)
+    base = tt.synthesize_tet(_certified(doc.matrices())).module
+    moved = tt.synthesize_tet(
+        _certified([p_inv * m * p for m in doc.matrices()])
+    ).module
+    for edge in CANONICAL_EDGES:
+        assert moved.gen(*edge) == p_inv * base.gen(*edge) * p
+
+
+# -- cost: no solve, no triple verification, seeded decompositions -------------
+
+def test_synthesis_neither_solves_nor_verifies_a_triple(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("synthesis must not call this")
+
+    for name, module in list(sys.modules.items()):
+        if not name.startswith("triadtet"):
+            continue
+        for attr in ("solve_linear_matrix_system", "verify_bd_triple"):
+            if hasattr(module, attr):
+                monkeypatch.setattr(module, attr, forbidden)
+    cert = _certified(tt.fixture_vd_triad(4, 1, 2).matrices())
+    assert tt.synthesize_tet(cert).report.passed
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_seeded_decompositions_equal_fresh_ones(d):
+    """Every corner assignment seeds A, A', A'' from the certificate."""
+    cert = _certified(tt.fixture_vd_triad(d, 2, -3).matrices())
+    for assignment in itertools.permutations(range(4)):
+        module = tt.synthesize_tet(cert, corner_assignment=assignment).module
+        for edge in CANONICAL_EDGES:
+            assert module._decomposition(*edge) == tt.eigen_decompose(
+                module.gen(*edge)
+            )
